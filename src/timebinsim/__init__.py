@@ -6,7 +6,7 @@ pulse-level Monte Carlo (`montecarlo`), estimators (`fitting`), experiment
 description (`params`), and a CLI (`cli`).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .analytic import (
     PairStatistics,
@@ -30,7 +30,6 @@ from .fitting import (
 from .montecarlo import (
     CarEstimate,
     CoincidenceHistogram,
-    DetectionRecord,
     InsufficientStatisticsError,
     estimate_car,
     simulate_car_run,
@@ -49,12 +48,9 @@ from .params import (
 )
 from .quantum import (
     PhasePair,
-    TimeBinState,
-    apply_mzi,
-    entangled_state,
     fringe,
     ideal_visibility,
-    matched_coincidence_probability,
+    sector_probabilities,
 )
 
 __all__ = [
@@ -76,7 +72,6 @@ __all__ = [
     "proportional_fit",
     "CarEstimate",
     "CoincidenceHistogram",
-    "DetectionRecord",
     "InsufficientStatisticsError",
     "estimate_car",
     "simulate_car_run",
@@ -91,10 +86,7 @@ __all__ = [
     "effective_alpha",
     "validate_config",
     "PhasePair",
-    "TimeBinState",
-    "apply_mzi",
-    "entangled_state",
     "fringe",
     "ideal_visibility",
-    "matched_coincidence_probability",
+    "sector_probabilities",
 ]

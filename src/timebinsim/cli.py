@@ -46,6 +46,7 @@ from .params import (
     dark_per_slot,
     default_config,
     effective_alpha,
+    symmetrized_detection,
     validate_config,
 )
 from .quantum import PhasePair
@@ -146,11 +147,7 @@ def cmd_analytic(ns) -> int:
     values = np.linspace(ns.start, ns.stop, ns.steps)
 
     src = cfg.source
-    alpha_sym = math.sqrt(effective_alpha(cfg.signal) * effective_alpha(cfg.idler))
-    dark_mean = 0.5 * (
-        dark_per_slot(cfg.signal, src.rep_rate_ghz)
-        + dark_per_slot(cfg.idler, src.rep_rate_ghz)
-    )
+    alpha_sym, dark_mean = symmetrized_detection(cfg)
     als = effective_alpha(cfg.signal, include_interferometer=True)
     ali = effective_alpha(cfg.idler, include_interferometer=True)
     ds = dark_per_slot(cfg.signal, src.rep_rate_ghz)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytic import PairStatistics, car_closed_form, pump_power_for_mu
 from .montecarlo import CarEstimate, estimate_car, simulate_car_run
-from .params import ExperimentConfig, dark_per_slot, effective_alpha
+from .params import ExperimentConfig, symmetrized_detection
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,7 @@ def car_curve(
     dark), and runs the histogram simulation at that power. Row i uses seed
     cfg.seed + i so rows are independent yet reproducible.
     """
-    alpha_sym = sqrt(effective_alpha(cfg.signal) * effective_alpha(cfg.idler))
-    dark_mean = 0.5 * (
-        dark_per_slot(cfg.signal, cfg.source.rep_rate_ghz)
-        + dark_per_slot(cfg.idler, cfg.source.rep_rate_ghz)
-    )
+    alpha_sym, dark_mean = symmetrized_detection(cfg)
     rows = []
     for i, mu in enumerate(mu_values):
         power = pump_power_for_mu(mu, cfg.source)

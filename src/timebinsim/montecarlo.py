@@ -22,7 +22,6 @@ multi-photon contribution.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
@@ -31,14 +30,7 @@ import numpy as np
 
 from .analytic import PairStatistics
 from .params import ExperimentConfig, dark_per_slot, effective_alpha, validate_config
-from .quantum import (
-    IDLER,
-    SIGNAL,
-    PhasePair,
-    apply_mzi,
-    entangled_state,
-    matched_coincidence_probability,
-)
+from .quantum import PhasePair, sector_probabilities
 
 # Accidental window: delays -3..+3 around the true-coincidence bin.
 COINCIDENCE_WINDOW = 3
@@ -52,14 +44,6 @@ SINGLE_PAIR_LIMIT = 0.1
 
 class InsufficientStatisticsError(ValueError):
     """Raised when a run produced no counts to estimate from."""
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One click: which detector fired and in which slot of the train."""
-
-    channel: str
-    slot: int
 
 
 @dataclass(frozen=True)
@@ -209,54 +193,9 @@ def estimate_car(hist: CoincidenceHistogram) -> CarEstimate:
     return CarEstimate(car=car, stderr=car * sqrt(1.0 / zero + 1.0 / acc_total))
 
 
-def detection_records(
-    counts_signal: np.ndarray, counts_idler: np.ndarray
-) -> list[DetectionRecord]:
-    """Flatten per-slot counts into individual click records (collapsed).
-
-    Reference form of the data; the vectorized histogram is checked against
-    a plain nested loop over these records.
-    """
-    records = [
-        DetectionRecord(SIGNAL, int(slot)) for slot in np.flatnonzero(counts_signal)
-    ]
-    records += [
-        DetectionRecord(IDLER, int(slot)) for slot in np.flatnonzero(counts_idler)
-    ]
-    return records
-
-
 # ----------------------------------------------------------------------
 # fringe runs (both interferometers in)
 # ----------------------------------------------------------------------
-
-def _fringe_sectors(n_slots: int, phases: PhasePair) -> tuple[float, float, float, float]:
-    """Joint pair-outcome probabilities after both interferometers.
-
-    Returns (matched, both kept, signal kept only, idler kept only); the
-    neither-kept remainder completes the distribution. The discarded port
-    of a delay interferometer carries the complementary amplitude map, a
-    pi shift on the delayed path, so every sector norm comes from the same
-    amplitude engine evaluated at shifted phases. The four sectors must
-    sum to 1: that is checked, not assumed.
-    """
-
-    def retained(phi_s: float, phi_i: float):
-        state = entangled_state(n_slots)
-        state = apply_mzi(state, SIGNAL, phi_s)
-        state = apply_mzi(state, IDLER, phi_i)
-        return state
-
-    kept = retained(phases.signal, phases.idler)
-    p_both = kept.retained_probability
-    p_matched = matched_coincidence_probability(kept)
-    p_s_only = retained(phases.signal, phases.idler + math.pi).retained_probability
-    p_i_only = retained(phases.signal + math.pi, phases.idler).retained_probability
-    p_none = retained(phases.signal + math.pi, phases.idler + math.pi).retained_probability
-    if abs(p_both + p_s_only + p_i_only + p_none - 1.0) > 1e-9:
-        raise AssertionError("interferometer port probabilities do not sum to 1")
-    return p_matched, p_both, p_s_only, p_i_only
-
 
 def _fringe_block(args) -> int:
     """Delay-0 coincidences in one block of a fringe run.
@@ -318,7 +257,7 @@ def simulate_fringe_run(
             f"pair mean {stats.mu_pairs:.3g} >= {SINGLE_PAIR_LIMIT}: "
             "single-pair-per-pulse sampling is not valid there"
         )
-    p_matched, p_both, p_s_only, p_i_only = _fringe_sectors(cfg.coherence_slots, phases)
+    p_matched, p_both, p_s_only, p_i_only = sector_probabilities(cfg.coherence_slots, phases)
     cumulative = (
         p_matched,
         p_both,

@@ -7,7 +7,9 @@ Per-pulse photon numbers and per-slot probabilities are dimensionless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import asdict, dataclass, is_dataclass
+from typing import get_type_hints
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,19 @@ def effective_alpha(channel: ChannelParams, include_interferometer: bool = False
 def dark_per_slot(channel: ChannelParams, rep_rate_ghz: float) -> float:
     """Dark-count probability in one time slot of the pulse train."""
     return channel.dark_rate_hz / (rep_rate_ghz * 1e9)
+
+
+def symmetrized_detection(cfg: ExperimentConfig) -> tuple[float, float]:
+    """(geometric-mean alpha, mean dark per slot) of the two arms.
+
+    The closed-form coincidence ratio takes a single detection arm; this is
+    how the signal and idler arms are folded into one. Interferometer
+    excess loss is not included.
+    """
+    alpha = math.sqrt(effective_alpha(cfg.signal) * effective_alpha(cfg.idler))
+    rate = cfg.source.rep_rate_ghz
+    dark = 0.5 * (dark_per_slot(cfg.signal, rate) + dark_per_slot(cfg.idler, rate))
+    return alpha, dark
 
 
 def default_config() -> ExperimentConfig:
@@ -169,41 +184,63 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
 # JSON-facing dict conversion
 # ----------------------------------------------------------------------
 
-_SOURCE_KEYS = {f.name for f in SourceParams.__dataclass_fields__.values()}
-_CHANNEL_KEYS = {f.name for f in ChannelParams.__dataclass_fields__.values()}
-_TOP_KEYS = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-dict form of the config; keys mirror the dataclass fields."""
     return asdict(cfg)
 
 
+_EXPECTED = {float: "a finite real number", int: "an integer", bool: "true or false"}
+
+
+def _checked(value, kind: type, where: str):
+    """The value if JSON gave it the field's declared type, else a ValueError.
+
+    Reals come back as float, so a config's JSON form (and its hash) does
+    not depend on whether the file spelled a number 0 or 0.0.
+    """
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, int)
+    else:
+        try:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+    if not ok:
+        raise ValueError(f"{where} must be {_EXPECTED[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _build(cls: type, raw, where: str):
+    """One config level from its JSON object, every declared field required."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where or 'config'} must be a JSON object, got {type(raw).__name__}")
+    declared = get_type_hints(cls)
+    unknown = set(raw) - set(declared)
+    if unknown:
+        raise ValueError(f"unknown keys in {where or 'config'}: {sorted(unknown)}")
+    values = {}
+    for name, kind in declared.items():
+        path = f"{where}.{name}" if where else name
+        if name not in raw:
+            raise ValueError(f"{path} is missing")
+        if is_dataclass(kind):
+            values[name] = _build(kind, raw[name], path)
+        else:
+            values[name] = _checked(raw[name], kind, path)
+    return cls(**values)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON object.
 
-    Unknown keys are rejected at every level, naming the offender: silent
-    typos in config files have burned enough runs already.
+    Every field at every level must be present, of its declared type (a
+    bool is not a number; counts and the seed are integers) and finite, and
+    unknown keys are rejected. Each failure is a ValueError that names the
+    field, e.g. "source.pair_coeff is missing": silent typos in config
+    files have burned enough runs already.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for section in ("source", "signal", "idler"):
-        if section not in data:
-            raise ValueError(f"config is missing required section '{section}'")
-
-    def _section(raw: dict, allowed: set[str], where: str) -> dict:
-        if not isinstance(raw, dict):
-            raise ValueError(f"'{where}' must be a JSON object")
-        extra = set(raw) - allowed
-        if extra:
-            raise ValueError(f"unknown keys in '{where}': {sorted(extra)}")
-        return raw
-
-    src = SourceParams(**_section(data["source"], _SOURCE_KEYS, "source"))
-    sig = ChannelParams(**_section(data["signal"], _CHANNEL_KEYS, "signal"))
-    idl = ChannelParams(**_section(data["idler"], _CHANNEL_KEYS, "idler"))
-    scalars = {k: v for k, v in data.items() if k not in ("source", "signal", "idler")}
-    return ExperimentConfig(source=src, signal=sig, idler=idl, **scalars)
+    return _build(ExperimentConfig, data, "")

@@ -1,28 +1,31 @@
 """Exact two-photon amplitudes for time-bin entangled states.
 
-The state of a signal/idler photon pair spread over a train of time slots is
-held as a dense complex array amp[j, k] = amplitude of (signal in slot j+1,
-idler in slot k+1). A delay-line interferometer with one-slot path difference
-maps each single-photon ket
+A pump train coherent over n pulses prepares the pair state
+sum_k |k>_s |k>_i / sqrt(n), k = 1..n: both photons always share a slot,
+with a uniform envelope. A delay-line interferometer with one-slot path
+difference maps each single-photon ket
 
-    |k>  ->  (|k> + e^{i phi} |k+1>) / 2
+    |k>  ->  t0 |k> + t1 |k+1>
 
-in the monitored output port. The map is applied per mode; the missing norm
-is the photon routed to the unused port (50% post-selection per photon) and
-is tracked explicitly as a loss weight rather than renormalized away.
+with taps (t0, t1) = (1/2, e^{i phi}/2) in the monitored output port and
+(1/2, -e^{i phi}/2) in the discarded one. The map is applied per mode. The
+photon routed to the discarded port is tracked as its own outcome rather
+than renormalized away (50% post-selection per photon).
+
+After one map per mode, amp[j, k] (signal in slot j, idler in slot k) is
+non-zero only for |j - k| <= 1, so the state is held as those three bands:
+O(n) memory and work, where a dense array would need O(n^2).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-PROBABILITY_ATOL = 1e-12
-
-SIGNAL = "signal"
-IDLER = "idler"
+Taps = tuple[complex, complex]
 
 
 @dataclass(frozen=True)
@@ -38,124 +41,70 @@ class PhasePair:
         return PhasePair(self.signal % two_pi, self.idler % two_pi)
 
 
-@dataclass(frozen=True)
-class TimeBinState:
-    """Two-photon amplitude array plus post-selection bookkeeping.
-
-    amplitudes : complex ndarray, shape (signal slots, idler slots)
-    loss_weight : probability already routed out of the monitored ports
-    mzi_signal, mzi_idler : whether each mode has passed its interferometer
-    """
-
-    amplitudes: np.ndarray
-    loss_weight: float = 0.0
-    mzi_signal: bool = False
-    mzi_idler: bool = False
-
-    @property
-    def n_signal_slots(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def n_idler_slots(self) -> int:
-        return self.amplitudes.shape[1]
-
-    @property
-    def retained_probability(self) -> float:
-        """Norm still in the monitored ports."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    @property
-    def probability_total(self) -> float:
-        """Retained norm plus recorded loss; 1 for any physical state."""
-        return self.retained_probability + self.loss_weight
-
-    @property
-    def normalized(self) -> bool:
-        return abs(self.probability_total - 1.0) <= PROBABILITY_ATOL
+def _taps(phase: float, kept: bool = True) -> Taps:
+    """(direct, delayed) amplitudes of one interferometer output port."""
+    delayed = 0.5 * cmath.exp(1j * phase)
+    return 0.5, delayed if kept else -delayed
 
 
-def entangled_state(n_slots: int) -> TimeBinState:
-    """Pair state with equal amplitude in every slot of the coherence window.
+def _bands(n_slots: int, signal: Taps, idler: Taps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitude bands of the n-slot pair state after one map per mode.
 
-    A pump train coherent over n_slots pulses prepares
-    sum_k |k>_s |k>_i / sqrt(n): both photons always share a slot, with a
-    uniform envelope. Needs at least two slots to carry any entanglement.
+    Returns (matched, signal_first, idler_first): amp[j, j] over the n+1
+    output slots (the delayed path spills one slot past the window), and
+    amp[j, j+1] and amp[j+1, j] over n slots each. Needs at least two slots
+    to carry any entanglement.
     """
     if n_slots < 2:
         raise ValueError(f"n_slots must be >= 2, got {n_slots}")
-    amp = np.zeros((n_slots, n_slots), dtype=complex)
-    idx = np.arange(n_slots)
-    amp[idx, idx] = 1.0 / math.sqrt(n_slots)
-    return TimeBinState(amplitudes=amp)
+    c = 1.0 / math.sqrt(n_slots)
+    (s_direct, s_delayed), (i_direct, i_delayed) = signal, idler
+    matched = np.zeros(n_slots + 1, dtype=complex)
+    matched[:-1] += c * s_direct * i_direct
+    matched[1:] += c * s_delayed * i_delayed
+    signal_first = np.full(n_slots, c * s_direct * i_delayed)
+    idler_first = np.full(n_slots, c * s_delayed * i_direct)
+    return matched, signal_first, idler_first
 
 
-def apply_mzi(state: TimeBinState, mode: str, phase: float) -> TimeBinState:
-    """Pass one mode through a one-slot-delay interferometer.
-
-    Output slot count grows by one (the delayed path can spill past the last
-    input slot). Norm lost to the unused port is added to loss_weight; a
-    second application to the same mode is physically meaningless and
-    rejected.
-    """
-    if mode == SIGNAL:
-        if state.mzi_signal:
-            raise ValueError("signal mode already passed its interferometer")
-        axis = 0
-    elif mode == IDLER:
-        if state.mzi_idler:
-            raise ValueError("idler mode already passed its interferometer")
-        axis = 1
-    else:
-        raise ValueError(f"mode must be '{SIGNAL}' or '{IDLER}', got {mode!r}")
-
-    amp = state.amplitudes
-    shape = list(amp.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype=complex)
-    direct = [slice(None), slice(None)]
-    delayed = [slice(None), slice(None)]
-    direct[axis] = slice(0, amp.shape[axis])
-    delayed[axis] = slice(1, amp.shape[axis] + 1)
-    out[tuple(direct)] += 0.5 * amp
-    out[tuple(delayed)] += 0.5 * np.exp(1j * phase) * amp
-
-    norm_before = float(np.sum(np.abs(amp) ** 2))
-    norm_after = float(np.sum(np.abs(out) ** 2))
-    return replace(
-        state,
-        amplitudes=out,
-        loss_weight=state.loss_weight + (norm_before - norm_after),
-        mzi_signal=state.mzi_signal or axis == 0,
-        mzi_idler=state.mzi_idler or axis == 1,
-    )
-
-
-def matched_coincidence_probability(state: TimeBinState) -> float:
-    """Probability that both photons are found in the same slot.
-
-    Only defined after both modes have passed their interferometers; before
-    that the photons are trivially matched and the question is not the one
-    the fringe measurement asks.
-    """
-    if not (state.mzi_signal and state.mzi_idler):
-        raise ValueError("matched coincidence requires both interferometers applied")
-    diag = np.diagonal(state.amplitudes)
-    return float(np.sum(np.abs(diag) ** 2))
+def _norm(*bands: np.ndarray) -> float:
+    return sum(float(np.vdot(band, band).real) for band in bands)
 
 
 def fringe(n_slots: int, phases: PhasePair) -> float:
     """Matched-coincidence probability after both interferometers.
 
-    Composes entangled_state -> signal MZI -> idler MZI and sums the slot
-    diagonal. Depends on the phases only through their sum; the closed form
+    The norm of the slot diagonal with both photons in their monitored
+    ports. Depends on the phases only through their sum; the closed form
     is [2 + 2(n-1)(1 + cos(phi_s + phi_i))] / (16 n), bounded by the double
     post-selection at 1/4.
     """
-    state = entangled_state(n_slots)
-    state = apply_mzi(state, SIGNAL, phases.signal)
-    state = apply_mzi(state, IDLER, phases.idler)
-    return matched_coincidence_probability(state)
+    matched, _, _ = _bands(n_slots, _taps(phases.signal), _taps(phases.idler))
+    return _norm(matched)
+
+
+def sector_probabilities(
+    n_slots: int, phases: PhasePair
+) -> tuple[float, float, float, float]:
+    """Joint pair-outcome probabilities after both interferometers.
+
+    Returns (matched, both kept, signal kept only, idler kept only); the
+    neither-kept remainder completes the distribution. Each sector is the
+    band norm under its pair of port taps, and "both kept" includes the
+    one-slot-apart bands. The five outcomes must sum to 1: that is checked,
+    not assumed.
+    """
+    s_kept, s_lost = _taps(phases.signal), _taps(phases.signal, kept=False)
+    i_kept, i_lost = _taps(phases.idler), _taps(phases.idler, kept=False)
+    matched, signal_first, idler_first = _bands(n_slots, s_kept, i_kept)
+    p_matched = _norm(matched)
+    p_both = p_matched + _norm(signal_first, idler_first)
+    p_s_only = _norm(*_bands(n_slots, s_kept, i_lost))
+    p_i_only = _norm(*_bands(n_slots, s_lost, i_kept))
+    p_none = _norm(*_bands(n_slots, s_lost, i_lost))
+    if abs(p_both + p_s_only + p_i_only + p_none - 1.0) > 1e-9:
+        raise AssertionError("interferometer port probabilities do not sum to 1")
+    return p_matched, p_both, p_s_only, p_i_only
 
 
 def ideal_visibility(n_slots: int) -> float:

@@ -157,6 +157,39 @@ class TestMcCar:
         assert "detector_efficiency" in err
         assert "dark_rate_hz" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("source", "pair_coeff", None),
+            ("source", "pair_coeff", "5.78"),
+            (None, "num_pulses", 1000.0),
+            ("source", "peak_power_w", math.nan),
+            (None, "seed", None),
+        ],
+    )
+    def test_malformed_config_is_one_error_line(self, tmp_path, section, key, value):
+        data = config_to_dict(default_config())
+        target = data if section is None else data[section]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "timebinsim.cli",
+                "mc-car", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        field = key if section is None else f"{section}.{key}"
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: {field} ")
+
 
 class TestMcFringe:
     def fringe_config(self, tmp_path, pulses=50_000, seed=71_001):

@@ -24,7 +24,6 @@ from timebinsim.montecarlo import (
     COINCIDENCE_WINDOW,
     CoincidenceHistogram,
     detected_counts,
-    detection_records,
     histogram_from_counts,
     _blocks,
 )
@@ -152,16 +151,6 @@ class TestHistogram:
         for delay in clicked.counts:
             assert clicked.counts[delay] <= raw.counts[delay]
         assert clicked.counts[0] < raw.counts[0]
-
-    def test_records_flatten(self):
-        counts_s = np.array([0, 2, 1], np.uint8)
-        counts_i = np.array([1, 0, 0], np.uint8)
-        records = detection_records(counts_s, counts_i)
-        assert [(r.channel, r.slot) for r in records] == [
-            ("signal", 1),
-            ("signal", 2),
-            ("idler", 0),
-        ]
 
 
 class TestEstimateCar:

@@ -1,5 +1,6 @@
 """Parameter handling: loss arithmetic, defaults, validation, JSON round trip."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -149,3 +150,38 @@ class TestJsonRoundTrip:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="object"):
             config_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("source", "pair_coeff", None, r"^source\.pair_coeff is missing"),
+            ("source", "pair_coeff", "5.78", r"^source\.pair_coeff must be a finite real number"),
+            ("source", "peak_power_w", math.nan, r"^source\.peak_power_w must be a finite real number"),
+            ("source", "bandwidth_ghz", math.inf, r"^source\.bandwidth_ghz must be a finite"),
+            ("source", "noise_coeff", 10**400, r"^source\.noise_coeff must be a finite"),
+            ("signal", "dark_rate_hz", True, r"^signal\.dark_rate_hz must be a finite real number"),
+            ("idler", "interferometer_loss_db", None, r"^idler\.interferometer_loss_db is missing"),
+            (None, "num_pulses", 1000.0, r"^num_pulses must be an integer"),
+            (None, "coherence_slots", True, r"^coherence_slots must be an integer"),
+            (None, "seed", None, r"^seed is missing"),
+            (None, "seed", "7", r"^seed must be an integer"),
+            (None, "phase_idler", None, r"^phase_idler is missing"),
+            (None, "interferometers_present", 1, r"^interferometers_present must be true or false"),
+        ],
+    )
+    def test_malformed_field_named(self, baseline, section, key, value, message):
+        data = config_to_dict(baseline)
+        target = data if section is None else data[section]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(data)
+
+    def test_integer_accepted_as_real(self, baseline):
+        data = config_to_dict(baseline)
+        data["phase_signal"] = 0
+        data["signal"]["dark_rate_hz"] = 50
+        parsed = config_to_dict(config_from_dict(data))
+        assert json.dumps(parsed) == json.dumps(config_to_dict(baseline))

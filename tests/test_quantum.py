@@ -11,27 +11,63 @@ import math
 import numpy as np
 import pytest
 
-from timebinsim import (
-    PhasePair,
-    TimeBinState,
-    apply_mzi,
-    entangled_state,
-    fringe,
-    ideal_visibility,
-    matched_coincidence_probability,
-)
+from timebinsim import PhasePair, fringe, ideal_visibility, sector_probabilities
+from timebinsim.quantum import _bands, _taps
+
+# The identity map on one mode: everything stays in its slot.
+NO_INTERFEROMETER = (1.0, 0.0)
+
+
+def brute_force_sectors(n: int, phi_s: float, phi_i: float) -> tuple[float, float, float, float]:
+    """(matched, both kept, signal only, idler only) by direct ket enumeration.
+
+    Each photon leaves through the kept port, with taps (1/2, e^{i phi}/2),
+    or the discarded one, whose delayed tap carries the opposite sign.
+    """
+    amp: dict[tuple[bool, bool, int, int], complex] = {}
+    c = 1.0 / math.sqrt(n)
+    for k in range(1, n + 1):
+        for kept_s in (True, False):
+            sign_s = 1.0 if kept_s else -1.0
+            for slot_s, amp_s in ((k, 0.5), (k + 1, sign_s * 0.5 * cmath.exp(1j * phi_s))):
+                for kept_i in (True, False):
+                    sign_i = 1.0 if kept_i else -1.0
+                    for slot_i, amp_i in ((k, 0.5), (k + 1, sign_i * 0.5 * cmath.exp(1j * phi_i))):
+                        key = (kept_s, kept_i, slot_s, slot_i)
+                        amp[key] = amp.get(key, 0.0) + c * amp_s * amp_i
+
+    def norm(kept_s, kept_i, matched_only=False):
+        return sum(
+            abs(v) ** 2
+            for (ks, ki, s, i), v in amp.items()
+            if (ks, ki) == (kept_s, kept_i) and (s == i or not matched_only)
+        )
+
+    return (
+        norm(True, True, matched_only=True),
+        norm(True, True),
+        norm(True, False),
+        norm(False, True),
+    )
 
 
 def brute_force_fringe(n: int, phi_s: float, phi_i: float) -> float:
     """Matched-coincidence probability by direct ket enumeration."""
-    amp: dict[tuple[int, int], complex] = {}
-    for k in range(1, n + 1):
-        c = 1.0 / math.sqrt(n)
-        for slot_s, amp_s in ((k, 0.5), (k + 1, 0.5 * cmath.exp(1j * phi_s))):
-            for slot_i, amp_i in ((k, 0.5), (k + 1, 0.5 * cmath.exp(1j * phi_i))):
-                key = (slot_s, slot_i)
-                amp[key] = amp.get(key, 0.0) + c * amp_s * amp_i
-    return sum(abs(v) ** 2 for (s, i), v in amp.items() if s == i)
+    return brute_force_sectors(n, phi_s, phi_i)[0]
+
+
+def all_five_outcomes(n: int, phases: PhasePair) -> float:
+    """Sum of the four sectors plus neither kept.
+
+    Neither kept is "both kept" with both delayed taps negated, i.e. both
+    phases shifted by pi.
+    """
+    flipped = PhasePair(phases.signal + math.pi, phases.idler + math.pi)
+    return sum(sector_probabilities(n, phases)[1:]) + sector_probabilities(n, flipped)[1]
+
+
+def band_norm(bands) -> float:
+    return sum(float(np.sum(np.abs(b) ** 2)) for b in bands)
 
 
 # Frozen from the oracle: brute_force_fringe(2, 0, 0) and (2, pi, 0),
@@ -41,65 +77,55 @@ FRINGE_2_DESTRUCTIVE = 0.0625
 
 
 class TestEntangledState:
+    """The pair state itself: the band map with no interferometer."""
+
     def test_uniform_diagonal(self):
-        state = entangled_state(5)
-        diag = np.diagonal(state.amplitudes)
-        assert np.allclose(diag, 1 / math.sqrt(5), atol=1e-15)
-        off = state.amplitudes - np.diag(diag)
-        assert np.all(off == 0)
+        matched, signal_first, idler_first = _bands(5, NO_INTERFEROMETER, NO_INTERFEROMETER)
+        assert np.allclose(matched[:5], 1 / math.sqrt(5), atol=1e-15)
+        assert matched[5] == 0
+        assert np.all(signal_first == 0) and np.all(idler_first == 0)
 
     def test_normalized_with_no_loss(self):
-        state = entangled_state(37)
-        assert state.loss_weight == 0.0
-        assert abs(state.probability_total - 1.0) < 1e-12
-        assert state.normalized
-        assert not state.mzi_signal and not state.mzi_idler
+        bands = _bands(37, NO_INTERFEROMETER, NO_INTERFEROMETER)
+        assert abs(band_norm(bands) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 0, -4])
     def test_too_few_slots_rejected(self, n):
         with pytest.raises(ValueError, match=">= 2"):
-            entangled_state(n)
+            sector_probabilities(n, PhasePair(0.0, 0.0))
 
 
 class TestApplyMzi:
-    def test_single_ket_splits_in_two(self):
-        # One slot, amplitude 1: |1> -> (|1> + |2>)/2 at zero phase.
-        state = TimeBinState(amplitudes=np.array([[1.0 + 0j]]))
-        out = apply_mzi(state, "signal", 0.0)
-        assert np.allclose(out.amplitudes, [[0.5], [0.5]])
-        assert out.loss_weight == pytest.approx(0.5, abs=1e-15)
-        assert out.mzi_signal and not out.mzi_idler
+    """One-slot-delay interferometers applied per mode."""
 
     @pytest.mark.parametrize("phase", [math.pi, math.pi / 2, 1.234])
     def test_delayed_path_carries_the_phase(self, phase):
-        state = TimeBinState(amplitudes=np.array([[1.0 + 0j]]))
-        out = apply_mzi(state, "idler", phase)
-        assert out.amplitudes[0, 0] == pytest.approx(0.5)
-        assert out.amplitudes[0, 1] == pytest.approx(0.5 * cmath.exp(1j * phase))
+        # Idler through its interferometer only: each direct amplitude
+        # amp[k, k] has a delayed twin amp[k, k+1] carrying e^{i phi}.
+        matched, signal_first, idler_first = _bands(2, NO_INTERFEROMETER, _taps(phase))
+        assert matched[0] == pytest.approx(0.5 / math.sqrt(2))
+        assert signal_first[0] == pytest.approx(0.5 * cmath.exp(1j * phase) / math.sqrt(2))
+        assert np.all(idler_first == 0)
 
     def test_slot_count_grows_by_one_per_mode(self):
-        state = entangled_state(6)
-        after_s = apply_mzi(state, "signal", 0.3)
-        assert (after_s.n_signal_slots, after_s.n_idler_slots) == (7, 6)
-        after_both = apply_mzi(after_s, "idler", -0.7)
-        assert (after_both.n_signal_slots, after_both.n_idler_slots) == (7, 7)
+        # The delayed path spills one slot past the n-slot window.
+        matched, signal_first, idler_first = _bands(6, _taps(0.3), _taps(-0.7))
+        assert (len(matched), len(signal_first), len(idler_first)) == (7, 6, 6)
 
     @pytest.mark.parametrize("n", [2, 3, 10, 50])
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (1.1, -2.2), (math.pi, math.pi / 3)])
     def test_probability_conserved_at_each_stage(self, n, phases):
-        state = entangled_state(n)
-        state = apply_mzi(state, "signal", phases[0])
-        assert abs(state.probability_total - 1.0) < 1e-12
-        state = apply_mzi(state, "idler", phases[1])
-        assert abs(state.probability_total - 1.0) < 1e-12
-        assert state.normalized
+        after_s = band_norm(_bands(n, _taps(phases[0]), NO_INTERFEROMETER))
+        lost_s = band_norm(_bands(n, _taps(phases[0], kept=False), NO_INTERFEROMETER))
+        assert abs(after_s + lost_s - 1.0) < 1e-12
+        assert abs(all_five_outcomes(n, PhasePair(*phases)) - 1.0) < 1e-12
 
     def test_half_lost_at_first_interferometer(self):
         # No two input kets share an output slot pair yet, so exactly half
         # the norm leaves through the unused port.
         for phase in (0.0, 0.9, math.pi):
-            state = apply_mzi(entangled_state(4), "signal", phase)
-            assert state.loss_weight == pytest.approx(0.5, abs=1e-12)
+            kept = band_norm(_bands(4, _taps(phase), NO_INTERFEROMETER))
+            assert kept == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 50])
     @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi])
@@ -107,38 +133,35 @@ class TestApplyMzi:
         # Interference in the monitored ports: the retained norm is the
         # matched closed form plus a constant 1/8 of one-slot-apart pairs
         # (2n off-diagonal paths of weight 1/(16n) each), not a flat 1/4.
-        state = apply_mzi(apply_mzi(entangled_state(n), "signal", theta), "idler", 0.0)
+        matched, both_kept, _, _ = sector_probabilities(n, PhasePair(theta, 0.0))
         expected = (2 + 2 * (n - 1) * (1 + math.cos(theta))) / (16 * n) + 0.125
-        assert state.retained_probability == pytest.approx(expected, abs=1e-12)
-        off_diagonal = state.retained_probability - matched_coincidence_probability(state)
-        assert off_diagonal == pytest.approx(0.125, abs=1e-12)
-
-    def test_double_application_rejected(self):
-        state = apply_mzi(entangled_state(3), "signal", 0.0)
-        with pytest.raises(ValueError, match="signal.*already"):
-            apply_mzi(state, "signal", 0.0)
-        state = apply_mzi(state, "idler", 0.0)
-        with pytest.raises(ValueError, match="idler.*already"):
-            apply_mzi(state, "idler", 0.0)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            apply_mzi(entangled_state(3), "herald", 0.0)
+        assert both_kept == pytest.approx(expected, abs=1e-12)
+        assert both_kept - matched == pytest.approx(0.125, abs=1e-12)
 
 
 class TestMatchedCoincidence:
-    def test_requires_both_interferometers(self):
-        state = entangled_state(3)
-        with pytest.raises(ValueError, match="both interferometers"):
-            matched_coincidence_probability(state)
-        with pytest.raises(ValueError, match="both interferometers"):
-            matched_coincidence_probability(apply_mzi(state, "signal", 0.0))
-
     def test_diagonal_amplitudes_two_slots(self):
         # Edge slots single-path, interior slot double-path: [1, 2, 1]/(4 sqrt 2).
-        state = apply_mzi(apply_mzi(entangled_state(2), "signal", 0.0), "idler", 0.0)
-        diag = np.diagonal(state.amplitudes)
-        assert np.allclose(diag, np.array([1.0, 2.0, 1.0]) / (4 * math.sqrt(2)))
+        matched, _, _ = _bands(2, _taps(0.0), _taps(0.0))
+        assert np.allclose(matched, np.array([1.0, 2.0, 1.0]) / (4 * math.sqrt(2)))
+
+
+class TestSectorProbabilities:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
+    @pytest.mark.parametrize("phi_s, phi_i", [(0.0, 0.0), (0.8, 0.0), (2.0, -0.5), (3.9, 2.1)])
+    def test_matches_brute_force_enumeration(self, n, phi_s, phi_i):
+        got = sector_probabilities(n, PhasePair(phi_s, phi_i))
+        want = brute_force_sectors(n, phi_s, phi_i)
+        assert got == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_long_coherence_visibility_law(self, n):
+        top = sector_probabilities(n, PhasePair(0.0, 0.0))
+        bottom = sector_probabilities(n, PhasePair(math.pi, 0.0))
+        visibility = (top[0] - bottom[0]) / (top[0] + bottom[0])
+        assert visibility == pytest.approx((n - 1) / n, rel=1e-9)
+        for phases in (PhasePair(0.0, 0.0), PhasePair(math.pi, 0.0)):
+            assert abs(all_five_outcomes(n, phases) - 1.0) < 1e-12
 
 
 class TestFringe:
