@@ -6,7 +6,7 @@ pulse-level Monte Carlo (`montecarlo`), estimators (`fitting`), experiment
 description (`params`), and a CLI (`cli`).
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analytic import (
     PairStatistics,

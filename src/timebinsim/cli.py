@@ -41,11 +41,10 @@ from .montecarlo import (
 )
 from .params import (
     ExperimentConfig,
+    arm_detection,
     config_from_dict,
     config_to_dict,
-    dark_per_slot,
     default_config,
-    effective_alpha,
     symmetrized_detection,
     validate_config,
 )
@@ -104,15 +103,21 @@ def _finish(
     _write_json(out_dir / "manifest.json", asdict(manifest))
 
 
+def _finite_float(token: str | None) -> float:
+    """A real flag or CSV cell; argparse names the flag when this raises."""
+    try:
+        value = float(token)
+    except (TypeError, ValueError):  # TypeError: a CSV row shorter than its header
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {token!r}")
+    return value
+
+
 def _parse_phase(token: str) -> float:
     if token.strip() == "pi/2":
         return math.pi / 2.0
-    try:
-        return float(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"phase must be a float or the token 'pi/2', got {token!r}"
-        ) from None
+    return _finite_float(token)
 
 
 def _prepare(ns) -> tuple[ExperimentConfig, Path]:
@@ -125,6 +130,9 @@ def _prepare(ns) -> tuple[ExperimentConfig, Path]:
     if bad:
         for line in bad:
             print(f"invalid config: {line}", file=sys.stderr)
+        raise SystemExit(1)
+    if getattr(ns, "workers", 1) < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
         raise SystemExit(1)
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -148,10 +156,7 @@ def cmd_analytic(ns) -> int:
 
     src = cfg.source
     alpha_sym, dark_mean = symmetrized_detection(cfg)
-    als = effective_alpha(cfg.signal, include_interferometer=True)
-    ali = effective_alpha(cfg.idler, include_interferometer=True)
-    ds = dark_per_slot(cfg.signal, src.rep_rate_ghz)
-    di = dark_per_slot(cfg.idler, src.rep_rate_ghz)
+    detection = arm_detection(cfg, include_interferometer=True)
 
     rows = []
     for value in values:
@@ -171,7 +176,7 @@ def cmd_analytic(ns) -> int:
         if mu is None:
             mu = stats.mu_total
         car = car_closed_form(mu, source, alpha_sym, dark_mean)
-        vis = predicted_visibility(stats, als, ali, ds, di, cfg.coherence_slots)
+        vis = predicted_visibility(stats, *detection, cfg.coherence_slots)
         rows.append(
             [
                 value,
@@ -227,16 +232,12 @@ def cmd_mc_fringe(ns) -> int:
         print("error: --steps must be >= 4 for a fringe sweep", file=sys.stderr)
         return 1
     cfg, out_dir = _prepare(ns)
-    cfg = replace(cfg, interferometers_present=True, phase_idler=ns.phi_i)
+    cfg = replace(cfg, interferometers_present=True)
     phi_s = [2.0 * math.pi * k / ns.steps for k in range(ns.steps)]
-    counts = []
-    for k, phi in enumerate(phi_s):
-        # Each phase point gets its own offset seed so points are
-        # statistically independent but the sweep stays reproducible.
-        cfg_point = replace(cfg, seed=cfg.seed + k, phase_signal=phi)
-        counts.append(
-            simulate_fringe_run(cfg_point, PhasePair(phi, ns.phi_i), workers=ns.workers)
-        )
+    counts = [
+        simulate_fringe_run(cfg, PhasePair(phi, ns.phi_i), workers=ns.workers, point=k)
+        for k, phi in enumerate(phi_s)
+    ]
     _write_csv(out_dir / "fringe.csv", ["phi_s", "coincidences"], zip(phi_s, counts))
     outputs = ["fringe.csv"]
     status = 0
@@ -258,6 +259,7 @@ def cmd_mc_fringe(ns) -> int:
 
 
 def _read_csv_columns(path: str, required: list[str]) -> dict[str, np.ndarray]:
+    """The required columns as float arrays; every cell must be finite."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
@@ -266,10 +268,16 @@ def _read_csv_columns(path: str, required: list[str]) -> dict[str, np.ndarray]:
             raise ValueError(
                 f"{path}: missing columns {missing}; found {fields}"
             )
-        rows = list(reader)
-    if not rows:
+        columns: dict[str, list[float]] = {c: [] for c in required}
+        for row in reader:
+            for c in required:
+                try:
+                    columns[c].append(_finite_float(row[c]))
+                except argparse.ArgumentTypeError as exc:
+                    raise ValueError(f"{path}: row {reader.line_num}, column {c}: {exc}") from None
+    if not columns[required[0]]:
         raise ValueError(f"{path}: no data rows")
-    return {c: np.array([float(r[c]) for r in rows]) for c in required}
+    return {c: np.array(values) for c, values in columns.items()}
 
 
 def cmd_fit(ns) -> int:
@@ -278,7 +286,6 @@ def cmd_fit(ns) -> int:
     if ns.model == "fringe":
         data = _read_csv_columns(ns.data, ["phi_s", "coincidences"])
         fit = fit_fringe(data["phi_s"], data["coincidences"])
-        payload = asdict(fit)
     else:
         data = _read_csv_columns(
             ns.data, ["power_w", "mu_pairs", "mu_noise_signal", "mu_noise_idler"]
@@ -290,8 +297,7 @@ def cmd_fit(ns) -> int:
             data["mu_noise_idler"],
             cfg.source.bandwidth_time_product,
         )
-        payload = asdict(fit)
-    _write_json(out_dir / "fit.json", payload)
+    _write_json(out_dir / "fit.json", asdict(fit))
     _finish(out_dir, "fit", {"model": ns.model, "data": Path(ns.data).name}, cfg, ["fit.json"])
     return 0
 
@@ -319,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analytic", help="closed-form sweep to CSV")
     common(p_an)
     p_an.add_argument("--sweep", choices=["mu", "power", "dfdt"], required=True)
-    p_an.add_argument("--start", type=float, required=True)
-    p_an.add_argument("--stop", type=float, required=True)
+    p_an.add_argument("--start", type=_finite_float, required=True)
+    p_an.add_argument("--stop", type=_finite_float, required=True)
     p_an.add_argument("--steps", type=int, required=True)
     p_an.set_defaults(func=cmd_analytic)
 
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--phi-i",
         type=_parse_phase,
         default=0.0,
-        help="idler interferometer phase: float or 'pi/2'",
+        help="idler interferometer phase: finite float or 'pi/2'",
     )
     p_fr.add_argument("--steps", type=int, default=16, help="signal phase points")
     p_fr.set_defaults(func=cmd_mc_fringe)

@@ -179,8 +179,8 @@ def car_curve(
 
     Each row re-solves the pump power for its mu, evaluates the closed form
     with the symmetrized detection parameters (geometric-mean alpha, mean
-    dark), and runs the histogram simulation at that power. Row i uses seed
-    cfg.seed + i so rows are independent yet reproducible.
+    dark), and runs the histogram simulation at that power as sweep point
+    i, so rows draw independent yet reproducible streams.
     """
     alpha_sym, dark_mean = symmetrized_detection(cfg)
     rows = []
@@ -190,10 +190,9 @@ def car_curve(
         cfg_row = replace(
             cfg,
             source=replace(cfg.source, peak_power_w=power),
-            seed=cfg.seed + i,
             interferometers_present=False,
         )
-        est: CarEstimate = estimate_car(simulate_car_run(cfg_row, workers=workers))
+        est: CarEstimate = estimate_car(simulate_car_run(cfg_row, workers=workers, point=i))
         rows.append(
             CarCurveRow(
                 mu_total=float(mu),

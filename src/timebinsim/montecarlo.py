@@ -10,9 +10,11 @@ Two run types share one sampling backbone:
   amplitudes, and delay-0 coincidences accumulated per phase setting.
 
 Reproducibility contract: pulses are processed in fixed blocks of
-BLOCK_PULSES; block i draws from default_rng((seed, i)) and results are
-merged in block order. Output is a pure function of (config, seed) no
-matter how many workers execute the blocks.
+BLOCK_PULSES; block b of sweep point p draws from
+default_rng((seed, b, p)) and results are merged in block order. A single
+run is point 0, and SeedSequence pads its entropy with zeros, so its block
+b draws from default_rng((seed, b)). Output is a pure function of
+(config, seed, point) no matter how many workers execute the blocks.
 
 Detectors are threshold detectors: any number of photons in one slot
 collapses to a single click. The uncollapsed per-slot detection counts are
@@ -22,6 +24,7 @@ multi-photon contribution.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
@@ -29,7 +32,7 @@ from math import sqrt
 import numpy as np
 
 from .analytic import PairStatistics
-from .params import ExperimentConfig, dark_per_slot, effective_alpha, validate_config
+from .params import ExperimentConfig, arm_detection, validate_config
 from .quantum import PhasePair, sector_probabilities
 
 # Accidental window: delays -3..+3 around the true-coincidence bin.
@@ -67,20 +70,34 @@ class CarEstimate:
 
 def _blocks(num_pulses: int) -> list[tuple[int, int]]:
     """(block index, block length) partition of a run."""
-    out = []
-    full, rest = divmod(num_pulses, BLOCK_PULSES)
-    for i in range(full):
-        out.append((i, BLOCK_PULSES))
-    if rest:
-        out.append((full, rest))
-    return out
+    starts = range(0, num_pulses, BLOCK_PULSES)
+    return [(i, min(BLOCK_PULSES, num_pulses - start)) for i, start in enumerate(starts)]
 
 
-def _dispatch(worker, args_list, workers: int) -> list:
-    if workers <= 1 or len(args_list) <= 1:
-        return [worker(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, args_list))
+def _dispatch(worker, args_list, workers: int):
+    """Yield worker(args) in order, so callers can merge each and free it. The
+    pool starts all its processes at once: no more than there are blocks or cores.
+    """
+    size = min(workers, len(args_list), os.cpu_count() or 1)
+    if size <= 1:
+        yield from map(worker, args_list)
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield from pool.map(worker, args_list)
+
+
+def _run_blocks(block, cfg: ExperimentConfig, point: int, workers: int, *extra):
+    """Per-block results of one run, yielded in block order. Block b gets
+    (key, length, means, per-arm detection, *extra), keyed (cfg.seed, b, point).
+    """
+    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
+    means = (stats.mu_pairs, stats.mu_noise_signal, stats.mu_noise_idler)
+    detection = arm_detection(cfg, include_interferometer=cfg.interferometers_present)
+    args = [
+        ((cfg.seed, index, point), length, *means, *detection, *extra)
+        for index, length in _blocks(cfg.num_pulses)
+    ]
+    return _dispatch(block, args, workers)
 
 
 def _require_valid(cfg: ExperimentConfig) -> None:
@@ -100,8 +117,8 @@ def _car_block(args) -> tuple[np.ndarray, np.ndarray]:
     thinnings, darks. A recorded dark is one detection event, so it adds 1
     to the slot's count.
     """
-    (seed, index, n, mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i) = args
-    rng = np.random.default_rng((seed, index))
+    (key, n, mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i) = args
+    rng = np.random.default_rng(key)
     pairs = rng.poisson(mu_c, n)
     noise_s = rng.poisson(mu_n_s, n)
     noise_i = rng.poisson(mu_n_i, n)
@@ -113,31 +130,20 @@ def _car_block(args) -> tuple[np.ndarray, np.ndarray]:
     return clip(det_s), clip(det_i)
 
 
-def detected_counts(cfg: ExperimentConfig, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def detected_counts(
+    cfg: ExperimentConfig, workers: int = 1, *, point: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-slot detection-event counts for a histogram run, both channels."""
     _require_valid(cfg)
     if cfg.interferometers_present:
         raise ValueError("histogram runs model the setup without interferometers")
-    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
-    args = [
-        (
-            cfg.seed,
-            index,
-            length,
-            stats.mu_pairs,
-            stats.mu_noise_signal,
-            stats.mu_noise_idler,
-            effective_alpha(cfg.signal),
-            effective_alpha(cfg.idler),
-            dark_per_slot(cfg.signal, cfg.source.rep_rate_ghz),
-            dark_per_slot(cfg.idler, cfg.source.rep_rate_ghz),
-        )
-        for index, length in _blocks(cfg.num_pulses)
-    ]
-    parts = _dispatch(_car_block, args, workers)
-    counts_s = np.concatenate([p[0] for p in parts])
-    counts_i = np.concatenate([p[1] for p in parts])
-    return counts_s, counts_i
+    # Merge each block as it arrives; holding them all left the peak to malloc.
+    counts = np.empty((2, cfg.num_pulses), dtype=np.uint8)
+    start = 0
+    for part in _run_blocks(_car_block, cfg, point, workers):
+        counts[:, start : start + len(part[0])] = part
+        start += len(part[0])
+    return counts[0], counts[1]
 
 
 def histogram_from_counts(
@@ -166,9 +172,11 @@ def histogram_from_counts(
     return CoincidenceHistogram(counts=counts, num_pulses=n, window_delays=window)
 
 
-def simulate_car_run(cfg: ExperimentConfig, workers: int = 1) -> CoincidenceHistogram:
+def simulate_car_run(
+    cfg: ExperimentConfig, workers: int = 1, *, point: int = 0
+) -> CoincidenceHistogram:
     """Full histogram run at the config's pump power."""
-    counts_s, counts_i = detected_counts(cfg, workers=workers)
+    counts_s, counts_i = detected_counts(cfg, workers=workers, point=point)
     return histogram_from_counts(counts_s, counts_i, collapse=True)
 
 
@@ -208,26 +216,14 @@ def _fringe_block(args) -> int:
     into the matched bin would bias the fringe, since the matched and total
     kept-kept norms carry different phase dependence.
     """
-    (seed, index, n, mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i, cum) = args
-    rng = np.random.default_rng((seed, index))
-    emitted = rng.random(n) < mu_c
-    m = int(np.count_nonzero(emitted))
+    (key, n, mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i, cum) = args
+    rng = np.random.default_rng(key)
+    emitting = np.flatnonzero(rng.random(n) < mu_c)
+    m = len(emitting)
 
-    u = rng.random(m)
-    category = np.searchsorted(cum, u, side="right")
-    s_kept = category <= 2
-    i_kept = (category <= 1) | (category == 3)
-    s_pair_sub = s_kept & (rng.random(m) < a_s)
-    i_pair_sub = i_kept & (rng.random(m) < a_i)
-    matched_sub = category == 0
-
-    idx = np.flatnonzero(emitted)
-    s_pair = np.zeros(n, dtype=bool)
-    i_pair = np.zeros(n, dtype=bool)
-    matched = np.zeros(n, dtype=bool)
-    s_pair[idx] = s_pair_sub
-    i_pair[idx] = i_pair_sub
-    matched[idx] = matched_sub
+    category = np.searchsorted(cum, rng.random(m), side="right")
+    s_pair = (category <= 2) & (rng.random(m) < a_s)
+    i_pair = ((category <= 1) | (category == 3)) & (rng.random(m) < a_i)
 
     # Noise photons see the interferometer as a phase-insensitive 1/2 loss.
     noise_s = rng.binomial(rng.poisson(mu_n_s, n), 0.5 * a_s)
@@ -235,17 +231,18 @@ def _fringe_block(args) -> int:
     other_s = (noise_s > 0) | (rng.random(n) < d_s)
     other_i = (noise_i > 0) | (rng.random(n) < d_i)
 
-    coinc = (
-        (matched & s_pair & i_pair)
-        | (s_pair & other_i)
-        | (other_s & i_pair)
-        | (other_s & other_i)
+    # Only emitting pulses can add a pair photon to a coincidence.
+    coinc = other_s & other_i
+    coinc[emitting] |= (
+        ((category == 0) & s_pair & i_pair)
+        | (s_pair & other_i[emitting])
+        | (other_s[emitting] & i_pair)
     )
     return int(np.count_nonzero(coinc))
 
 
 def simulate_fringe_run(
-    cfg: ExperimentConfig, phases: PhasePair, workers: int = 1
+    cfg: ExperimentConfig, phases: PhasePair, workers: int = 1, *, point: int = 0
 ) -> int:
     """Delay-0 coincidence count at one phase setting over cfg.num_pulses."""
     _require_valid(cfg)
@@ -264,20 +261,4 @@ def simulate_fringe_run(
         p_both + p_s_only,
         p_both + p_s_only + p_i_only,
     )
-    args = [
-        (
-            cfg.seed,
-            index,
-            length,
-            stats.mu_pairs,
-            stats.mu_noise_signal,
-            stats.mu_noise_idler,
-            effective_alpha(cfg.signal, include_interferometer=True),
-            effective_alpha(cfg.idler, include_interferometer=True),
-            dark_per_slot(cfg.signal, cfg.source.rep_rate_ghz),
-            dark_per_slot(cfg.idler, cfg.source.rep_rate_ghz),
-            cumulative,
-        )
-        for index, length in _blocks(cfg.num_pulses)
-    ]
-    return sum(_dispatch(_fringe_block, args, workers))
+    return sum(_run_blocks(_fringe_block, cfg, point, workers, cumulative))

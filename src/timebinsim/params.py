@@ -63,8 +63,6 @@ class ExperimentConfig:
     idler: ChannelParams
     coherence_slots: int = 1000
     num_pulses: int = 10_000_000
-    phase_signal: float = 0.0
-    phase_idler: float = 0.0
     seed: int = 12345
     interferometers_present: bool = False
 
@@ -88,6 +86,19 @@ def dark_per_slot(channel: ChannelParams, rep_rate_ghz: float) -> float:
     return channel.dark_rate_hz / (rep_rate_ghz * 1e9)
 
 
+def arm_detection(
+    cfg: ExperimentConfig, include_interferometer: bool
+) -> tuple[float, float, float, float]:
+    """(alpha_signal, alpha_idler, dark_signal, dark_idler) per time slot."""
+    rate = cfg.source.rep_rate_ghz
+    return (
+        effective_alpha(cfg.signal, include_interferometer),
+        effective_alpha(cfg.idler, include_interferometer),
+        dark_per_slot(cfg.signal, rate),
+        dark_per_slot(cfg.idler, rate),
+    )
+
+
 def symmetrized_detection(cfg: ExperimentConfig) -> tuple[float, float]:
     """(geometric-mean alpha, mean dark per slot) of the two arms.
 
@@ -95,10 +106,8 @@ def symmetrized_detection(cfg: ExperimentConfig) -> tuple[float, float]:
     how the signal and idler arms are folded into one. Interferometer
     excess loss is not included.
     """
-    alpha = math.sqrt(effective_alpha(cfg.signal) * effective_alpha(cfg.idler))
-    rate = cfg.source.rep_rate_ghz
-    dark = 0.5 * (dark_per_slot(cfg.signal, rate) + dark_per_slot(cfg.idler, rate))
-    return alpha, dark
+    alpha_s, alpha_i, dark_s, dark_i = arm_detection(cfg, include_interferometer=False)
+    return math.sqrt(alpha_s * alpha_i), 0.5 * (dark_s + dark_i)
 
 
 def default_config() -> ExperimentConfig:
@@ -175,8 +184,9 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         bad.append(f"coherence_slots must be >= 2, got {cfg.coherence_slots}")
     if cfg.num_pulses < 1:
         bad.append(f"num_pulses must be >= 1, got {cfg.num_pulses}")
-    if cfg.seed < 0:
-        bad.append(f"seed must be >= 0, got {cfg.seed}")
+    # A seed is one uint32 word of the stream key; a larger one collides.
+    if not 0 <= cfg.seed < 2**32:
+        bad.append(f"seed must be in [0, 2**32), got {cfg.seed}")
     return bad
 
 

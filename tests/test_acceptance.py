@@ -129,8 +129,7 @@ def test_criterion_4_fringe_visibility_predicted_and_sampled():
     )
     counts = []
     for k, phi in enumerate(PHASES_16):
-        point = replace(mc_cfg, seed=mc_cfg.seed + k, phase_signal=float(phi))
-        counts.append(simulate_fringe_run(point, PhasePair(float(phi), 0.0)))
+        counts.append(simulate_fringe_run(mc_cfg, PhasePair(float(phi), 0.0), point=k))
     fit = fit_fringe(PHASES_16, counts)
     fitted_in_band = 0.70 <= fit.visibility <= 0.85
     elapsed = time.perf_counter() - start

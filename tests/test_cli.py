@@ -37,6 +37,21 @@ def boosted_config(seed=70_001, pulses=300_000):
 
 
 class TestAnalytic:
+    @pytest.mark.parametrize("flag", ["--start", "--stop"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_range_rejected(self, tmp_path, capsys, flag, value):
+        bounds = {"--start": "1e-3", "--stop": "1e-2", flag: value}
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "analytic", "--out-dir", str(out), "--sweep", "mu", "--steps", "2",
+                *(f"{name}={v}" for name, v in bounds.items()),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a finite number, got '{value}'" in err
+        assert not out.exists()
+
     def test_dfdt_sweep_holds_operating_mu(self, tmp_path):
         out = tmp_path / "out"
         assert main([
@@ -257,6 +272,24 @@ class TestMcFringe:
                 "--phi-i", "quarter-turn",
             ])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_phase_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-fringe", "--out-dir", str(out), f"--phi-i={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --phi-i: expected a finite number, got '{value}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mc-car", "mc-fringe"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_one_error_line(self, tmp_path, capsys, command, workers):
+        out = tmp_path / "never"
+        assert main([command, "--out-dir", str(out), "--workers", workers]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: --workers must be >= 1"]
+        assert not out.exists()
+
 
 class TestFit:
     def test_fringe_round_trip(self, tmp_path):
@@ -308,6 +341,24 @@ class TestFit:
         err = capsys.readouterr().err
         assert "missing columns" in err
         assert "phi_s" in err
+
+    @pytest.mark.parametrize(
+        "body, where, cell",
+        [
+            ("phi_s,coincidences\n0.0,1\n1.0\n", "row 3, column coincidences", "None"),
+            ("phi_s,coincidences\n0.0,1\n1.0,nan\n", "row 3, column coincidences", "'nan'"),
+            ("phi_s,coincidences\nabc,1\n", "row 2, column phi_s", "'abc'"),
+        ],
+    )
+    def test_malformed_cell_is_one_error_line(self, tmp_path, capsys, body, where, cell):
+        data = tmp_path / "bad.csv"
+        data.write_text(body)
+        out = tmp_path / "o"
+        assert main(["fit", "--model", "fringe", "--data", str(data), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: {data}: {where}: expected a finite number, got {cell}"]
+        assert not (out / "fit.json").exists()
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert main([

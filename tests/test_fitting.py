@@ -198,13 +198,15 @@ class TestCarCurve:
             )
 
     def test_deterministic_and_row_seeded(self):
-        cfg = lossless_config(1e-3, 500_000, seed=63_002, dark_rate_hz=2e5)
-        pair = car_curve(cfg, [5e-3, 1e-2])
-        again = car_curve(cfg, [5e-3, 1e-2])
+        cfg = lossless_config(1e-3, 200_000, seed=100, dark_rate_hz=2e5)
+        pair = car_curve(cfg, [5e-3, 5e-3])
+        again = car_curve(cfg, [5e-3, 5e-3])
         assert [r.car_simulated for r in pair] == [r.car_simulated for r in again]
-        # Row i runs at seed + i, so a shifted-seed curve reproduces row 1.
-        shifted = car_curve(replace(cfg, seed=cfg.seed + 1), [1e-2])
-        assert shifted[0].car_simulated == pair[1].car_simulated
+        # Row i is sweep point i of the run's own seed: equal-mu rows differ,
+        # and row 1 is not row 0 of the run at the next seed.
+        assert pair[0].car_simulated != pair[1].car_simulated
+        shifted = car_curve(replace(cfg, seed=cfg.seed + 1), [5e-3])
+        assert shifted[0].car_simulated != pair[1].car_simulated
 
     def test_interferometer_flag_is_overridden(self):
         cfg = lossless_config(1e-3, 500_000, seed=63_003, dark_rate_hz=2e5)

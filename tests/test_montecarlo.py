@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import lossless_config, pairs_only_config
+from timebinsim import montecarlo
 from timebinsim import (
     InsufficientStatisticsError,
+    PairStatistics,
     PhasePair,
     car_closed_form,
     default_config,
@@ -56,6 +58,37 @@ class TestBlocks:
         assert _blocks(999) == [(0, 999)]
 
 
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "workers, blocks, cores, size",
+        [(5000, 10, 4, 4), (5000, 3, 4, 3), (2, 10, 4, 2), (5000, 10, None, None)],
+    )
+    def test_pool_capped_by_blocks_and_cores(self, monkeypatch, workers, blocks, cores, size):
+        sizes = []
+
+        class FakePool:
+            """Records the pool size and maps serially; starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        args = list(range(-blocks, 0))
+        assert list(montecarlo._dispatch(abs, args, workers)) == [abs(a) for a in args]
+        # cpu_count() None counts as one core: serial, no pool at all.
+        assert sizes == ([] if size is None else [size])
+
+
 class TestReproducibility:
     def test_same_seed_same_histogram(self):
         cfg = lossless_config(4e-3, 200_000)
@@ -79,6 +112,31 @@ class TestReproducibility:
         assert simulate_fringe_run(cfg, phases, workers=1) == simulate_fringe_run(
             cfg, phases, workers=2
         )
+
+    def test_point_zero_block_streams_are_seed_and_block(self, monkeypatch):
+        # The documented contract: block b of a single run (point 0) draws
+        # from default_rng((seed, b)); point p from default_rng((seed, b, p)).
+        # With pairs only and unit alpha a slot's count is the first draw.
+        monkeypatch.setattr(montecarlo, "BLOCK_PULSES", 1000)
+        cfg = replace(pairs_only_config(0.05, 5, 2500, seed=77), interferometers_present=False)
+        mu = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_pairs
+        for point, key in ((0, ()), (2, (2,))):
+            counts_s, _ = detected_counts(cfg, point=point)
+            expected = [
+                np.random.default_rng((77, b, *key)).poisson(mu, n)
+                for b, n in ((0, 1000), (1, 1000), (2, 500))
+            ]
+            assert np.array_equal(counts_s, np.concatenate(expected)), point
+
+    def test_sweep_points_do_not_reuse_the_next_seed(self):
+        # Point k used to run at seed + k, so point 1 repeated the next
+        # seed's point 0.
+        cfg = pairs_only_config(4e-3, 1000, 400_000, seed=100)
+        phases = PhasePair(0.3, 0.0)
+        point_1 = simulate_fringe_run(cfg, phases, point=1)
+        assert point_1 == simulate_fringe_run(cfg, phases, point=1)
+        assert point_1 != simulate_fringe_run(cfg, phases)
+        assert point_1 != simulate_fringe_run(replace(cfg, seed=101), phases)
 
     def test_fringe_depends_on_phase_sum_only(self):
         # Identical seed and identical phase sum: the sampled categories

@@ -113,6 +113,14 @@ class TestValidation:
         assert len(bad) == 1
         assert needle in bad[0]
 
+    def test_seed_must_fit_one_key_word(self, baseline):
+        # numpy splits 2**32 + 5 into the words (5, 1), so its block 0 would
+        # be seed 5's block 1.
+        assert validate_config(replace(baseline, seed=2**32 - 1)) == []
+        bad = validate_config(replace(baseline, seed=2**32))
+        assert len(bad) == 1
+        assert bad[0].startswith("seed must be in [0, 2**32)")
+
     def test_multiple_violations_all_reported(self, baseline):
         cfg = replace(
             baseline,
@@ -126,7 +134,9 @@ class TestValidation:
 
 class TestJsonRoundTrip:
     def test_round_trip_preserves_everything(self, baseline):
-        cfg = replace(baseline, seed=99, phase_idler=math.pi / 2)
+        cfg = replace(
+            baseline, seed=99, signal=replace(baseline.signal, interferometer_loss_db=math.pi / 2)
+        )
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_unknown_top_level_key_rejected(self, baseline):
@@ -165,7 +175,7 @@ class TestJsonRoundTrip:
             (None, "coherence_slots", True, r"^coherence_slots must be an integer"),
             (None, "seed", None, r"^seed is missing"),
             (None, "seed", "7", r"^seed must be an integer"),
-            (None, "phase_idler", None, r"^phase_idler is missing"),
+            (None, "phase_signal", 0.0, r"^unknown keys in config: .*phase_signal"),
             (None, "interferometers_present", 1, r"^interferometers_present must be true or false"),
         ],
     )
@@ -181,7 +191,7 @@ class TestJsonRoundTrip:
 
     def test_integer_accepted_as_real(self, baseline):
         data = config_to_dict(baseline)
-        data["phase_signal"] = 0
+        data["idler"]["interferometer_loss_db"] = 0
         data["signal"]["dark_rate_hz"] = 50
         parsed = config_to_dict(config_from_dict(data))
         assert json.dumps(parsed) == json.dumps(config_to_dict(baseline))
