@@ -2,11 +2,11 @@
 
 The package splits along the physics: exact two-photon amplitudes
 (`quantum`), closed-form counting statistics (`analytic`), a seeded
-pulse-level Monte Carlo (`montecarlo`), estimators (`fitting`), experiment
+event-stream Monte Carlo (`montecarlo`), estimators (`fitting`), experiment
 description (`params`), and a CLI (`cli`).
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .analytic import (
     PairStatistics,

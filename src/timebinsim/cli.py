@@ -45,8 +45,8 @@ from .params import (
     config_from_dict,
     config_to_dict,
     default_config,
+    require_valid,
     symmetrized_detection,
-    validate_config,
 )
 from .quantum import PhasePair
 
@@ -126,14 +126,9 @@ def _prepare(ns) -> tuple[ExperimentConfig, Path]:
         cfg = replace(cfg, seed=ns.seed)
     if getattr(ns, "pulses", None) is not None:
         cfg = replace(cfg, num_pulses=ns.pulses)
-    bad = validate_config(cfg)
-    if bad:
-        for line in bad:
-            print(f"invalid config: {line}", file=sys.stderr)
-        raise SystemExit(1)
+    require_valid(cfg)
     if getattr(ns, "workers", 1) < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        raise SystemExit(1)
+        raise ValueError("--workers must be >= 1")
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir
@@ -147,11 +142,9 @@ def cmd_analytic(ns) -> int:
     """Closed-form sweep: means, coincidence ratio, predicted visibility."""
     cfg, out_dir = _prepare(ns)
     if ns.steps < 1:
-        print("error: --steps must be >= 1", file=sys.stderr)
-        return 1
+        raise ValueError("--steps must be >= 1")
     if ns.start <= 0 or ns.stop <= 0:
-        print("error: sweep range must be positive", file=sys.stderr)
-        return 1
+        raise ValueError("sweep range must be positive")
     values = np.linspace(ns.start, ns.stop, ns.steps)
 
     src = cfg.source
@@ -229,8 +222,7 @@ def cmd_mc_car(ns) -> int:
 def cmd_mc_fringe(ns) -> int:
     """Phase sweep of delay-0 coincidences, then the visibility fit."""
     if ns.steps < 4:
-        print("error: --steps must be >= 4 for a fringe sweep", file=sys.stderr)
-        return 1
+        raise ValueError("--steps must be >= 4 for a fringe sweep")
     cfg, out_dir = _prepare(ns)
     cfg = replace(cfg, interferometers_present=True)
     phi_s = [2.0 * math.pi * k / ns.steps for k in range(ns.steps)]
@@ -357,8 +349,6 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

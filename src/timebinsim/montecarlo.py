@@ -1,13 +1,20 @@
-"""Pulse-by-pulse Monte Carlo of the source and detection chain.
+"""Event-stream Monte Carlo of the source and detection chain.
 
 Two run types share one sampling backbone:
 
 * coincidence-histogram runs (no interferometers): Poisson pair and noise
-  draws per pulse, loss thinning, dark counts, and a delay histogram of
-  click pairs, feeding the coincidence-to-accidental estimate;
-* fringe runs (both interferometers in): single-pair emission conditioned
-  per pulse, with the joint slot outcome sampled from the exact two-photon
+  photons, loss thinning, dark counts, and a delay histogram of click
+  pairs, feeding the coincidence-to-accidental estimate;
+* fringe runs (both interferometers in): single-pair emission per pulse,
+  with the joint slot outcome sampled from the exact two-photon
   amplitudes, and delay-0 coincidences accumulated per phase setting.
+
+Work scales with detections, not pulses. A stream is a Poisson total at
+uniform slots, i.e. an independent Poisson count per slot; loss thinning
+splits the pairs into independent streams (both arms, one, neither). A slot
+hit with probability exactly p (a dark, a fringe-run emission) is drawn at
+mean -log(1 - p) and collapsed to a slot set. Detections travel per channel
+as (slots, counts): slots ascending, counts >= 1.
 
 Reproducibility contract: pulses are processed in fixed blocks of
 BLOCK_PULSES; block b of sweep point p draws from
@@ -27,12 +34,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import log1p, sqrt
 
 import numpy as np
 
 from .analytic import PairStatistics
-from .params import ExperimentConfig, arm_detection, validate_config
+from .params import ExperimentConfig, arm_detection, require_valid
 from .quantum import PhasePair, sector_probabilities
 
 # Accidental window: delays -3..+3 around the true-coincidence bin.
@@ -100,84 +107,82 @@ def _run_blocks(block, cfg: ExperimentConfig, point: int, workers: int, *extra):
     return _dispatch(block, args, workers)
 
 
-def _require_valid(cfg: ExperimentConfig) -> None:
-    bad = validate_config(cfg)
-    if bad:
-        raise ValueError("invalid config: " + "; ".join(bad))
+def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
+    """Unsorted slots of Poisson(mean) events in each of n slots."""
+    return rng.integers(0, n, rng.poisson(mean * n))
+
+
+def _slot_set(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Ascending slots, each present with probability exactly p."""
+    return np.unique(_events(rng, n, -log1p(-p)))
 
 
 # ----------------------------------------------------------------------
 # coincidence-histogram runs (no interferometers)
 # ----------------------------------------------------------------------
 
-def _car_block(args) -> tuple[np.ndarray, np.ndarray]:
-    """Detection counts per slot for one pulse block, both channels.
+def _car_block(args):
+    """Detection events of one pulse block, (slots, counts) per channel.
 
-    Draw order is fixed: pairs, signal noise, idler noise, the four
-    thinnings, darks. A recorded dark is one detection event, so it adds 1
-    to the slot's count.
+    Draw order is fixed: pairs seen in both arms, signal only, idler only,
+    signal noise, idler noise, signal darks, idler darks. A recorded dark
+    is one detection event, so it adds 1 to the slot's count.
     """
     (key, n, mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i) = args
     rng = np.random.default_rng(key)
-    pairs = rng.poisson(mu_c, n)
-    noise_s = rng.poisson(mu_n_s, n)
-    noise_i = rng.poisson(mu_n_i, n)
-    det_s = rng.binomial(pairs, a_s) + rng.binomial(noise_s, a_s)
-    det_i = rng.binomial(pairs, a_i) + rng.binomial(noise_i, a_i)
-    det_s += rng.random(n) < d_s
-    det_i += rng.random(n) < d_i
-    clip = lambda x: np.minimum(x, 255).astype(np.uint8)  # noqa: E731
-    return clip(det_s), clip(det_i)
+    both = _events(rng, n, mu_c * a_s * a_i)
+    only_s = _events(rng, n, mu_c * a_s * (1.0 - a_i))
+    only_i = _events(rng, n, mu_c * a_i * (1.0 - a_s))
+    noise_s = _events(rng, n, mu_n_s * a_s)
+    noise_i = _events(rng, n, mu_n_i * a_i)
+    dark_s = _slot_set(rng, n, d_s)
+    dark_i = _slot_set(rng, n, d_i)
+    return (
+        np.unique(np.concatenate((both, only_s, noise_s, dark_s)), return_counts=True),
+        np.unique(np.concatenate((both, only_i, noise_i, dark_i)), return_counts=True),
+    )
 
 
-def detected_counts(
-    cfg: ExperimentConfig, workers: int = 1, *, point: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot detection-event counts for a histogram run, both channels."""
-    _require_valid(cfg)
+def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
+    """Detection events of a histogram run, (slots, counts) per channel."""
+    require_valid(cfg)
     if cfg.interferometers_present:
         raise ValueError("histogram runs model the setup without interferometers")
-    # Merge each block as it arrives; holding them all left the peak to malloc.
-    counts = np.empty((2, cfg.num_pulses), dtype=np.uint8)
-    start = 0
-    for part in _run_blocks(_car_block, cfg, point, workers):
-        counts[:, start : start + len(part[0])] = part
-        start += len(part[0])
-    return counts[0], counts[1]
+    merged = ([], []), ([], [])
+    for index, block in enumerate(_run_blocks(_car_block, cfg, point, workers)):
+        for (slots, counts), (slots_local, counts_local) in zip(merged, block):
+            slots.append(slots_local + index * BLOCK_PULSES)
+            counts.append(counts_local)
+    return tuple((np.concatenate(slots), np.concatenate(counts)) for slots, counts in merged)
 
 
 def histogram_from_counts(
-    counts_signal: np.ndarray,
-    counts_idler: np.ndarray,
-    collapse: bool = True,
+    signal, idler, num_pulses: int, collapse: bool = True
 ) -> CoincidenceHistogram:
-    """Delay histogram of click pairs from per-slot detection counts.
+    """Delay histogram of click pairs from each channel's (slots, counts).
 
     With collapse=True (the physical detectors) a slot contributes at most
     one click per channel; collapse=False counts every detection pair and
     can only be larger, bin by bin.
     """
-    n = len(counts_signal)
-    if len(counts_idler) != n:
-        raise ValueError("channel count arrays differ in length")
+    slots_s, counts_s = signal
+    slots_i, counts_i = idler
     counts: dict[int, int] = {}
     for delay in range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1):
-        s = counts_signal[max(0, -delay) : n - max(0, delay)]
-        i = counts_idler[max(0, delay) : n + min(0, delay)]
-        if collapse:
-            counts[delay] = int(np.count_nonzero((s > 0) & (i > 0)))
-        else:
-            counts[delay] = int(np.sum(s.astype(np.int64) * i.astype(np.int64)))
+        _, at_s, at_i = np.intersect1d(
+            slots_s + delay, slots_i, assume_unique=True, return_indices=True
+        )
+        counts[delay] = len(at_s) if collapse else int(np.dot(counts_s[at_s], counts_i[at_i]))
     window = tuple(d for d in counts if d != 0)
-    return CoincidenceHistogram(counts=counts, num_pulses=n, window_delays=window)
+    return CoincidenceHistogram(counts=counts, num_pulses=num_pulses, window_delays=window)
 
 
 def simulate_car_run(
     cfg: ExperimentConfig, workers: int = 1, *, point: int = 0
 ) -> CoincidenceHistogram:
     """Full histogram run at the config's pump power."""
-    counts_s, counts_i = detected_counts(cfg, workers=workers, point=point)
-    return histogram_from_counts(counts_s, counts_i, collapse=True)
+    signal, idler = detected_counts(cfg, workers=workers, point=point)
+    return histogram_from_counts(signal, idler, cfg.num_pulses, collapse=True)
 
 
 def estimate_car(hist: CoincidenceHistogram) -> CarEstimate:
@@ -218,7 +223,7 @@ def _fringe_block(args) -> int:
     """
     (key, n, mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i, cum) = args
     rng = np.random.default_rng(key)
-    emitting = np.flatnonzero(rng.random(n) < mu_c)
+    emitting = _slot_set(rng, n, mu_c)
     m = len(emitting)
 
     category = np.searchsorted(cum, rng.random(m), side="right")
@@ -226,26 +231,24 @@ def _fringe_block(args) -> int:
     i_pair = ((category <= 1) | (category == 3)) & (rng.random(m) < a_i)
 
     # Noise photons see the interferometer as a phase-insensitive 1/2 loss.
-    noise_s = rng.binomial(rng.poisson(mu_n_s, n), 0.5 * a_s)
-    noise_i = rng.binomial(rng.poisson(mu_n_i, n), 0.5 * a_i)
-    other_s = (noise_s > 0) | (rng.random(n) < d_s)
-    other_i = (noise_i > 0) | (rng.random(n) < d_i)
+    noise_s = _events(rng, n, mu_n_s * 0.5 * a_s)
+    noise_i = _events(rng, n, mu_n_i * 0.5 * a_i)
+    other_s = np.union1d(noise_s, _slot_set(rng, n, d_s))
+    other_i = np.union1d(noise_i, _slot_set(rng, n, d_i))
 
-    # Only emitting pulses can add a pair photon to a coincidence.
-    coinc = other_s & other_i
-    coinc[emitting] |= (
-        ((category == 0) & s_pair & i_pair)
-        | (s_pair & other_i[emitting])
-        | (other_s[emitting] & i_pair)
-    )
-    return int(np.count_nonzero(coinc))
+    # Only emitting slots can add a pair photon to a coincidence.
+    s_other = np.isin(emitting, other_s, assume_unique=True)
+    i_other = np.isin(emitting, other_i, assume_unique=True)
+    pair = ((category == 0) & s_pair & i_pair) | (s_pair & i_other) | (s_other & i_pair)
+    others = np.intersect1d(other_s, other_i, assume_unique=True)
+    return len(others) + int(np.count_nonzero(pair & ~(s_other & i_other)))
 
 
 def simulate_fringe_run(
     cfg: ExperimentConfig, phases: PhasePair, workers: int = 1, *, point: int = 0
 ) -> int:
     """Delay-0 coincidence count at one phase setting over cfg.num_pulses."""
-    _require_valid(cfg)
+    require_valid(cfg)
     if not cfg.interferometers_present:
         raise ValueError("fringe runs require interferometers_present = True")
     stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
@@ -255,10 +258,5 @@ def simulate_fringe_run(
             "single-pair-per-pulse sampling is not valid there"
         )
     p_matched, p_both, p_s_only, p_i_only = sector_probabilities(cfg.coherence_slots, phases)
-    cumulative = (
-        p_matched,
-        p_both,
-        p_both + p_s_only,
-        p_both + p_s_only + p_i_only,
-    )
+    cumulative = (p_matched, p_both, p_both + p_s_only, p_both + p_s_only + p_i_only)
     return sum(_run_blocks(_fringe_block, cfg, point, workers, cumulative))

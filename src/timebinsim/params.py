@@ -147,7 +147,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Return a list of human-readable violations; empty list means valid.
 
     Violations are data, not exceptions, so callers can report all of them
-    at once (the CLI prints the full list before exiting).
+    at once (require_valid joins them into one error).
     """
     bad: list[str] = []
     src = cfg.source
@@ -175,6 +175,9 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             )
         if ch.dark_rate_hz < 0:
             bad.append(f"{name}.dark_rate_hz must be >= 0, got {ch.dark_rate_hz}")
+        elif src.rep_rate_ghz > 0 and ch.dark_rate_hz >= src.rep_rate_ghz * 1e9:
+            limit = "source.rep_rate_ghz * 1e9 (one dark per slot)"
+            bad.append(f"{name}.dark_rate_hz must be < {limit}, got {ch.dark_rate_hz}")
         if ch.interferometer_loss_db < 0:
             bad.append(
                 f"{name}.interferometer_loss_db must be >= 0, got {ch.interferometer_loss_db}"
@@ -188,6 +191,13 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if not 0 <= cfg.seed < 2**32:
         bad.append(f"seed must be in [0, 2**32), got {cfg.seed}")
     return bad
+
+
+def require_valid(cfg: ExperimentConfig) -> None:
+    """Raise one ValueError listing every violation of validate_config."""
+    bad = validate_config(cfg)
+    if bad:
+        raise ValueError("invalid config: " + "; ".join(bad))
 
 
 # ----------------------------------------------------------------------

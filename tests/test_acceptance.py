@@ -1,12 +1,12 @@
-"""Acceptance gate: the nine headline checks, one test and one printed
+"""Acceptance gate: the ten headline checks, one test and one printed
 verdict line each. Run with `pytest -v -s tests/test_acceptance.py` to see
 the lines; each asserts at its stated tolerance.
 
-The two long Monte Carlo legs (criteria 3 and 4) run on a lossless-channel
-variant of the baseline config: with the experimentally realistic channel
-transmissions near 6e-3 a desk-scale pulse count leaves every histogram
-bin empty, and both compared quantities are ratios that do not depend on
-the transmission scale. The analytic legs use the baseline config as is.
+Criteria 3 and 4 sample a lossless-channel variant of the baseline config,
+where both compared quantities are ratios that do not depend on the
+transmission scale. Criterion 10 samples the baseline config itself, with
+its channel transmissions near 6e-3, at 1e10 pulses: ten seconds of the
+1 GHz train. The analytic legs use the baseline config as is.
 """
 
 import math
@@ -37,7 +37,7 @@ from timebinsim import (
     simulate_fringe_run,
 )
 from timebinsim.cli import main
-from timebinsim.params import SourceParams
+from timebinsim.params import SourceParams, symmetrized_detection
 
 PHASES_16 = 2 * math.pi * np.arange(16) / 16
 
@@ -266,5 +266,61 @@ def test_criterion_9_bitwise_reproducible_commands(tmp_path):
         ok,
         "mc-car and mc-fringe reruns byte-identical across repeats and "
         "worker counts (histogram, estimate, fringe, fit, manifest files)",
+    )
+    assert ok
+
+
+def threshold_bin_probabilities(cfg) -> tuple[float, float]:
+    """Click-pair probability of one slot pair, at delay 0 and at any other
+    delay, for threshold detectors.
+
+    Pair photons split into independent Poisson streams (seen in both arms,
+    in one, in neither), so the joint no-click probability of the two
+    channels is a product of exponentials and the dark-free slot chances.
+    """
+    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
+    a_s, a_i = effective_alpha(cfg.signal), effective_alpha(cfg.idler)
+    d_s = dark_per_slot(cfg.signal, cfg.source.rep_rate_ghz)
+    d_i = dark_per_slot(cfg.idler, cfg.source.rep_rate_ghz)
+    log_quiet_s = -(stats.mu_pairs + stats.mu_noise_signal) * a_s + math.log1p(-d_s)
+    log_quiet_i = -(stats.mu_pairs + stats.mu_noise_idler) * a_i + math.log1p(-d_i)
+    log_quiet_both = (
+        -stats.mu_pairs * (a_s + a_i - a_s * a_i)
+        - stats.mu_noise_signal * a_s
+        - stats.mu_noise_idler * a_i
+        + math.log1p(-d_s)
+        + math.log1p(-d_i)
+    )
+    click_s, click_i = -math.expm1(log_quiet_s), -math.expm1(log_quiet_i)
+    return click_s + click_i + math.expm1(log_quiet_both), click_s * click_i
+
+
+def test_criterion_10_paper_operating_point():
+    start = time.perf_counter()
+    cfg = replace(default_config(), num_pulses=10**10, seed=80_010)
+    hist = simulate_car_run(cfg)
+    n = cfg.num_pulses
+    p_zero, p_acc = threshold_bin_probabilities(cfg)
+    expected_zero = n * p_zero
+    expected_acc = sum((n - abs(d)) * p_acc for d in hist.window_delays)
+    zero_z = (hist.counts[0] - expected_zero) / math.sqrt(expected_zero)
+    acc_z = (hist.accidental_total - expected_acc) / math.sqrt(expected_acc)
+
+    est = estimate_car(hist)
+    mu = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_total
+    analytic = car_closed_form(mu, cfg.source, *symmetrized_detection(cfg))
+    within = abs(est.car - analytic) <= 4 * est.stderr
+    elapsed = time.perf_counter() - start
+    fast = elapsed < 120.0
+
+    ok = abs(zero_z) <= 4 and abs(acc_z) <= 4 and within and fast
+    verdict(
+        10,
+        ok,
+        f"baseline config, 1e10 pulses: delay-0 {hist.counts[0]} vs "
+        f"{expected_zero:.1f} (z {zero_z:+.2f}), accidentals "
+        f"{hist.accidental_total} vs {expected_acc:.1f} (z {acc_z:+.2f}); "
+        f"sampled ratio {est.car:.2f} +/- {est.stderr:.2f} vs closed form "
+        f"{analytic:.3f} within 4 stderr; {elapsed:.1f} s < 120 s",
     )
     assert ok

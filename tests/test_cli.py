@@ -172,6 +172,15 @@ class TestMcCar:
         assert "detector_efficiency" in err
         assert "dark_rate_hz" in err
 
+    def test_config_error_is_one_line(self, tmp_path, capsys):
+        # Only a flag argparse cannot parse gets its usage block and exit 2.
+        out = tmp_path / "never"
+        assert main(["mc-car", "--out-dir", str(out), "--seed", "4294967296"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid config: seed")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

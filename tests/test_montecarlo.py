@@ -2,6 +2,7 @@
 fringe counts checked against the closed forms and the amplitude engine."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,12 @@ def brute_force_histogram(counts_s, counts_i, collapse):
             if abs(delay) <= COINCIDENCE_WINDOW:
                 hist[delay] += 1 if collapse else int(cs) * int(ci)
     return hist
+
+
+def events_of(counts):
+    """(slots, counts) event lists of a dense per-slot count array."""
+    slots = np.flatnonzero(counts)
+    return slots, counts[slots].astype(np.int64)
 
 
 class TestBlocks:
@@ -116,17 +123,23 @@ class TestReproducibility:
     def test_point_zero_block_streams_are_seed_and_block(self, monkeypatch):
         # The documented contract: block b of a single run (point 0) draws
         # from default_rng((seed, b)); point p from default_rng((seed, b, p)).
-        # With pairs only and unit alpha a slot's count is the first draw.
+        # With pairs only and unit alpha the signal events are the first
+        # stream, shifted by the block's first slot.
         monkeypatch.setattr(montecarlo, "BLOCK_PULSES", 1000)
         cfg = replace(pairs_only_config(0.05, 5, 2500, seed=77), interferometers_present=False)
         mu = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_pairs
         for point, key in ((0, ()), (2, (2,))):
-            counts_s, _ = detected_counts(cfg, point=point)
-            expected = [
-                np.random.default_rng((77, b, *key)).poisson(mu, n)
-                for b, n in ((0, 1000), (1, 1000), (2, 500))
-            ]
-            assert np.array_equal(counts_s, np.concatenate(expected)), point
+            (slots_s, counts_s), _ = detected_counts(cfg, point=point)
+            events = np.concatenate(
+                [
+                    montecarlo._events(np.random.default_rng((77, b, *key)), n, mu) + 1000 * b
+                    for b, n in ((0, 1000), (1, 1000), (2, 500))
+                ]
+            )
+            expected_slots, expected_counts = np.unique(events, return_counts=True)
+            assert len(expected_slots) > 0
+            assert np.array_equal(slots_s, expected_slots), point
+            assert np.array_equal(counts_s, expected_counts), point
 
     def test_sweep_points_do_not_reuse_the_next_seed(self):
         # Point k used to run at seed + k, so point 1 repeated the next
@@ -150,9 +163,32 @@ class TestReproducibility:
 class TestDetectedCounts:
     def test_shapes_and_dtype(self):
         cfg = lossless_config(4e-3, 12_345)
-        counts_s, counts_i = detected_counts(cfg)
-        assert len(counts_s) == len(counts_i) == 12_345
-        assert counts_s.dtype == np.uint8
+        for slots, counts in detected_counts(cfg):
+            assert len(slots) == len(counts) > 0
+            assert slots.dtype.kind == counts.dtype.kind == "i"
+            assert np.all(np.diff(slots) > 0)
+            assert 0 <= slots[0] and slots[-1] < 12_345
+            assert counts.min() >= 1
+
+    def test_slot_counts_are_not_clipped(self):
+        # A slot holds any number of detections: at 400 pairs per pulse
+        # nearly every slot is above 255, the largest uint8.
+        cfg = replace(pairs_only_config(400.0, 5, 1000), interferometers_present=False)
+        (_, counts_s), (_, counts_i) = detected_counts(cfg)
+        assert counts_s.max() > 255
+        assert counts_i.max() > 255
+
+    def test_memory_scales_with_events(self):
+        # At the paper's losses 1e8 pulses give a few thousand detections;
+        # per-pulse arrays of a single block would already take megabytes.
+        cfg = replace(default_config(), num_pulses=100_000_000)
+        tracemalloc.start()
+        try:
+            simulate_car_run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_rejects_interferometer_setup(self):
         cfg = replace(lossless_config(4e-3, 100), interferometers_present=True)
@@ -169,15 +205,16 @@ class TestDetectedCounts:
         # No noise, no darks, unit alpha: both channels see the same pair
         # number in every slot, so the arrays are identical.
         cfg = replace(pairs_only_config(0.01, 1000, 100_000), interferometers_present=False)
-        counts_s, counts_i = detected_counts(cfg)
+        (slots_s, counts_s), (slots_i, counts_i) = detected_counts(cfg)
+        assert np.array_equal(slots_s, slots_i)
         assert np.array_equal(counts_s, counts_i)
         assert counts_s.sum() > 0
 
     def test_darks_only_rate(self):
         cfg = lossless_config(1e-3, 1_000_000, dark_rate_hz=1e7)  # d = 0.01/slot
         cfg = replace(cfg, source=replace(cfg.source, peak_power_w=0.0))
-        counts_s, counts_i = detected_counts(cfg)
-        for clicks in (np.count_nonzero(counts_s), np.count_nonzero(counts_i)):
+        (slots_s, _), (slots_i, _) = detected_counts(cfg)
+        for clicks in (len(slots_s), len(slots_i)):
             sigma = math.sqrt(1_000_000 * 0.01 * 0.99)
             assert abs(clicks - 10_000) < 5 * sigma
 
@@ -186,16 +223,18 @@ class TestHistogram:
     @pytest.mark.parametrize("collapse", [True, False])
     def test_matches_brute_force(self, collapse):
         rng = np.random.default_rng(7)
-        counts_s = rng.integers(0, 4, size=40).astype(np.uint8)
-        counts_i = rng.integers(0, 4, size=40).astype(np.uint8)
-        hist = histogram_from_counts(counts_s, counts_i, collapse=collapse)
+        counts_s = rng.integers(0, 4, size=40)
+        counts_i = rng.integers(0, 4, size=40)
+        # Events at both ends of the run, where shifted delays fall off it.
+        edges = [0, 1, 2, -3, -2, -1]
+        counts_s[edges] = [1, 2, 3, 3, 2, 1]
+        counts_i[edges] = [3, 1, 2, 2, 1, 3]
+        hist = histogram_from_counts(
+            events_of(counts_s), events_of(counts_i), 40, collapse=collapse
+        )
         assert hist.counts == brute_force_histogram(counts_s, counts_i, collapse)
         assert hist.num_pulses == 40
         assert sorted(hist.window_delays) == [-3, -2, -1, 1, 2, 3]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            histogram_from_counts(np.zeros(5, np.uint8), np.zeros(6, np.uint8))
 
     def test_collapse_bounds_multiphoton_bins(self):
         # At half a pair per pulse, double emissions are common; the
@@ -203,9 +242,9 @@ class TestHistogram:
         # delay 0 and never above it anywhere.
         cfg = replace(pairs_only_config(0.05, 1000, 200_000), interferometers_present=False)
         cfg = replace(cfg, source=replace(cfg.source, peak_power_w=pump_power_for_mu(0.5, cfg.source)))
-        counts_s, counts_i = detected_counts(cfg)
-        clicked = histogram_from_counts(counts_s, counts_i, collapse=True)
-        raw = histogram_from_counts(counts_s, counts_i, collapse=False)
+        signal, idler = detected_counts(cfg)
+        clicked = histogram_from_counts(signal, idler, cfg.num_pulses, collapse=True)
+        raw = histogram_from_counts(signal, idler, cfg.num_pulses, collapse=False)
         for delay in clicked.counts:
             assert clicked.counts[delay] <= raw.counts[delay]
         assert clicked.counts[0] < raw.counts[0]

@@ -121,6 +121,19 @@ class TestValidation:
         assert len(bad) == 1
         assert bad[0].startswith("seed must be in [0, 2**32)")
 
+    def test_dark_rate_below_one_per_slot(self, baseline):
+        # Darks are drawn as a per-slot probability: at or above the pulse
+        # rate (1 GHz here) there is none to draw.
+        rate = baseline.source.rep_rate_ghz * 1e9
+        below = replace(baseline.signal, dark_rate_hz=0.999 * rate)
+        assert validate_config(replace(baseline, signal=below)) == []
+        for name in ("signal", "idler"):
+            for dark in (rate, 1.5e9):
+                channel = replace(getattr(baseline, name), dark_rate_hz=dark)
+                bad = validate_config(replace(baseline, **{name: channel}))
+                assert len(bad) == 1
+                assert bad[0].startswith(f"{name}.dark_rate_hz must be < source.rep_rate_ghz")
+
     def test_multiple_violations_all_reported(self, baseline):
         cfg = replace(
             baseline,
