@@ -16,12 +16,20 @@ hit with probability exactly p (a dark, a fringe-run emission) is drawn at
 mean -log(1 - p) and collapsed to a slot set. Detections travel per channel
 as (slots, counts): slots ascending, counts >= 1.
 
-Reproducibility contract: pulses are processed in fixed blocks of
-BLOCK_PULSES; block b of sweep point p draws from
+Reproducibility contract: a run is cut into consecutive blocks of
+block_pulses(cfg) pulses, sized so that a block expects about
+EVENTS_PER_BLOCK draws, within [BLOCK_PULSES, MAX_BLOCK_PULSES]. The size
+is a pure function of the config, and a Poisson process split at block
+edges leaves the blocks independent. Block b of sweep point p draws from
 default_rng((seed, b, p)) and results are merged in block order. A single
 run is point 0, and SeedSequence pads its entropy with zeros, so its block
 b draws from default_rng((seed, b)). Output is a pure function of
 (config, seed, point) no matter how many workers execute the blocks.
+
+The delay histogram is folded over the blocks as they arrive. Each
+channel's events in the last COINCIDENCE_WINDOW slots are carried into the
+next block, so a pair across a block edge is counted once and no run-length
+event list is held: memory is O(events per block).
 
 Detectors are threshold detectors: any number of photons in one slot
 collapses to a single click. The uncollapsed per-slot detection counts are
@@ -32,7 +40,7 @@ multi-photon contribution.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from math import log1p, sqrt
 
@@ -44,8 +52,13 @@ from .quantum import PhasePair, sector_probabilities
 
 # Accidental window: delays -3..+3 around the true-coincidence bin.
 COINCIDENCE_WINDOW = 3
-# Fixed block size; the unit of seeding and of parallel dispatch.
+# A block is the unit of seeding and of parallel dispatch. It costs about
+# 5e-8 s per event, so a million events is ~50 ms of work, about what one
+# pool process costs to start.
+EVENTS_PER_BLOCK = 1_000_000
+# Smallest and largest block, in pulses.
 BLOCK_PULSES = 1_000_000
+MAX_BLOCK_PULSES = 10**10
 
 # Fringe-run emission is sampled as at most one pair per pulse, which is
 # only a faithful reading of the Poisson source well below one pair/pulse.
@@ -75,36 +88,68 @@ class CarEstimate:
     stderr: float
 
 
-def _blocks(num_pulses: int) -> list[tuple[int, int]]:
-    """(block index, block length) partition of a run."""
-    starts = range(0, num_pulses, BLOCK_PULSES)
-    return [(i, min(BLOCK_PULSES, num_pulses - start)) for i, start in enumerate(starts)]
+def _stream_parameters(cfg: ExperimentConfig) -> tuple[float, ...]:
+    """(mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i): the means and per-arm
+    detection every block function starts from."""
+    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
+    detection = arm_detection(cfg, include_interferometer=cfg.interferometers_present)
+    return (stats.mu_pairs, stats.mu_noise_signal, stats.mu_noise_idler, *detection)
+
+
+def block_pulses(cfg: ExperimentConfig) -> int:
+    """Pulses per block: about EVENTS_PER_BLOCK expected draws of the run's
+    block function, clamped to [BLOCK_PULSES, MAX_BLOCK_PULSES]."""
+    mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i = _stream_parameters(cfg)
+    darks = -log1p(-d_s) - log1p(-d_i)
+    if cfg.interferometers_present:
+        rate = mu_c + 0.5 * (mu_n_s * a_s + mu_n_i * a_i) + darks
+    else:
+        rate = mu_c * (a_s + a_i - a_s * a_i) + mu_n_s * a_s + mu_n_i * a_i + darks
+    if rate * MAX_BLOCK_PULSES <= EVENTS_PER_BLOCK:
+        return MAX_BLOCK_PULSES
+    return max(BLOCK_PULSES, int(EVENTS_PER_BLOCK / rate))
+
+
+def _blocks(num_pulses: int, size: int) -> list[tuple[int, int]]:
+    """(block index, block length) partition of a run into blocks of size."""
+    starts = range(0, num_pulses, size)
+    return [(i, min(size, num_pulses - start)) for i, start in enumerate(starts)]
 
 
 def _dispatch(worker, args_list, workers: int):
-    """Yield worker(args) in order, so callers can merge each and free it. The
-    pool starts all its processes at once: no more than there are blocks or cores.
+    """Yield worker(args) in order, so callers can merge each and free it.
+
+    The pool has no more processes than there are blocks or cores, and at
+    most two blocks per process are in flight, so finished results wait in
+    memory only until the caller reaches them.
     """
     size = min(workers, len(args_list), os.cpu_count() or 1)
     if size <= 1:
         yield from map(worker, args_list)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
-        yield from pool.map(worker, args_list)
+        pending = deque()
+        for args in args_list:
+            if len(pending) == 2 * size:
+                yield pending.popleft().result()
+            pending.append(pool.submit(worker, args))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _run_blocks(block, cfg: ExperimentConfig, point: int, workers: int, *extra):
-    """Per-block results of one run, yielded in block order. Block b gets
-    (key, length, means, per-arm detection, *extra), keyed (cfg.seed, b, point).
+    """(first slot, length, result) of each block of one run, in block order.
+    Block b gets (key, length, means, per-arm detection, *extra), keyed
+    (cfg.seed, b, point).
     """
-    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
-    means = (stats.mu_pairs, stats.mu_noise_signal, stats.mu_noise_idler)
-    detection = arm_detection(cfg, include_interferometer=cfg.interferometers_present)
-    args = [
-        ((cfg.seed, index, point), length, *means, *detection, *extra)
-        for index, length in _blocks(cfg.num_pulses)
-    ]
-    return _dispatch(block, args, workers)
+    size = block_pulses(cfg)
+    blocks = _blocks(cfg.num_pulses, size)
+    parameters = _stream_parameters(cfg)
+    args = [((cfg.seed, index, point), length, *parameters, *extra) for index, length in blocks]
+    results = _dispatch(block, args, workers)
+    return ((index * size, length, result) for (index, length), result in zip(blocks, results))
 
 
 def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
@@ -112,9 +157,18 @@ def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
     return rng.integers(0, n, rng.poisson(mean * n))
 
 
+def _distinct(slots: np.ndarray) -> np.ndarray:
+    """np.unique by sorting. Without return_counts, numpy 2.3+ takes a hash
+    path that is ~50x slower on a million slots."""
+    slots = np.sort(slots)
+    keep = np.ones(len(slots), dtype=bool)
+    np.not_equal(slots[1:], slots[:-1], out=keep[1:])
+    return slots[keep]
+
+
 def _slot_set(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     """Ascending slots, each present with probability exactly p."""
-    return np.unique(_events(rng, n, -log1p(-p)))
+    return _distinct(_events(rng, n, -log1p(-p)))
 
 
 # ----------------------------------------------------------------------
@@ -143,15 +197,20 @@ def _car_block(args):
     )
 
 
-def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
-    """Detection events of a histogram run, (slots, counts) per channel."""
+def _car_blocks(cfg: ExperimentConfig, point: int, workers: int):
+    """Blocks of a histogram run, as _run_blocks yields them."""
     require_valid(cfg)
     if cfg.interferometers_present:
         raise ValueError("histogram runs model the setup without interferometers")
+    return _run_blocks(_car_block, cfg, point, workers)
+
+
+def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
+    """Detection events of a histogram run, (slots, counts) per channel."""
     merged = ([], []), ([], [])
-    for index, block in enumerate(_run_blocks(_car_block, cfg, point, workers)):
+    for start, _, block in _car_blocks(cfg, point, workers):
         for (slots, counts), (slots_local, counts_local) in zip(merged, block):
-            slots.append(slots_local + index * BLOCK_PULSES)
+            slots.append(slots_local + start)
             counts.append(counts_local)
     return tuple((np.concatenate(slots), np.concatenate(counts)) for slots, counts in merged)
 
@@ -167,22 +226,52 @@ def histogram_from_counts(
     """
     slots_s, counts_s = signal
     slots_i, counts_i = idler
-    counts: dict[int, int] = {}
-    for delay in range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1):
-        _, at_s, at_i = np.intersect1d(
-            slots_s + delay, slots_i, assume_unique=True, return_indices=True
-        )
-        counts[delay] = len(at_s) if collapse else int(np.dot(counts_s[at_s], counts_i[at_i]))
-    window = tuple(d for d in counts if d != 0)
-    return CoincidenceHistogram(counts=counts, num_pulses=num_pulses, window_delays=window)
+    window = COINCIDENCE_WINDOW
+    # Signal events within the window of each idler event: [first, last).
+    first = np.searchsorted(slots_s, slots_i - window)
+    last = np.searchsorted(slots_s, slots_i + window, side="right")
+    per_idler = last - first
+    at_i = np.repeat(np.arange(len(slots_i)), per_idler)
+    at_s = np.arange(len(at_i)) + np.repeat(first - (np.cumsum(per_idler) - per_idler), per_idler)
+    # Float weights sum exactly: every partial sum is an integer below 2**53.
+    weights = None if collapse else counts_s[at_s] * counts_i[at_i]
+    binned = np.bincount(slots_i[at_i] - slots_s[at_s] + window, weights, 2 * window + 1)
+    counts = {delay: int(binned[delay + window]) for delay in range(-window, window + 1)}
+    delays = tuple(d for d in counts if d != 0)
+    return CoincidenceHistogram(counts=counts, num_pulses=num_pulses, window_delays=delays)
+
+
+def _fold_histogram(blocks, num_pulses: int, collapse: bool) -> CoincidenceHistogram:
+    """Delay histogram of a run from its (first slot, length, events) blocks.
+
+    The tail, each channel's events in the last COINCIDENCE_WINDOW slots so
+    far, rides into the next block. Adding the histogram of tail + block and
+    subtracting the tail's own counts every pair within the block or across
+    its leading edge exactly once.
+    """
+    totals = dict.fromkeys(range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1), 0)
+    empty = np.empty(0, dtype=np.int64)
+    tail = ((empty, empty), (empty, empty))
+    for start, length, block in blocks:
+        joined = [
+            (np.concatenate((tail_slots, slots + start)), np.concatenate((tail_counts, counts)))
+            for (tail_slots, tail_counts), (slots, counts) in zip(tail, block)
+        ]
+        added = histogram_from_counts(*joined, length, collapse).counts
+        counted = histogram_from_counts(*tail, 0, collapse).counts
+        for delay in totals:
+            totals[delay] += added[delay] - counted[delay]
+        edge = start + length - COINCIDENCE_WINDOW
+        tail = [(slots[slots >= edge], counts[slots >= edge]) for slots, counts in joined]
+    delays = tuple(d for d in totals if d != 0)
+    return CoincidenceHistogram(counts=totals, num_pulses=num_pulses, window_delays=delays)
 
 
 def simulate_car_run(
     cfg: ExperimentConfig, workers: int = 1, *, point: int = 0
 ) -> CoincidenceHistogram:
     """Full histogram run at the config's pump power."""
-    signal, idler = detected_counts(cfg, workers=workers, point=point)
-    return histogram_from_counts(signal, idler, cfg.num_pulses, collapse=True)
+    return _fold_histogram(_car_blocks(cfg, point, workers), cfg.num_pulses, collapse=True)
 
 
 def estimate_car(hist: CoincidenceHistogram) -> CarEstimate:
@@ -233,8 +322,8 @@ def _fringe_block(args) -> int:
     # Noise photons see the interferometer as a phase-insensitive 1/2 loss.
     noise_s = _events(rng, n, mu_n_s * 0.5 * a_s)
     noise_i = _events(rng, n, mu_n_i * 0.5 * a_i)
-    other_s = np.union1d(noise_s, _slot_set(rng, n, d_s))
-    other_i = np.union1d(noise_i, _slot_set(rng, n, d_i))
+    other_s = _distinct(np.concatenate((noise_s, _slot_set(rng, n, d_s))))
+    other_i = _distinct(np.concatenate((noise_i, _slot_set(rng, n, d_i))))
 
     # Only emitting slots can add a pair photon to a coincidence.
     s_other = np.isin(emitting, other_s, assume_unique=True)
@@ -259,4 +348,4 @@ def simulate_fringe_run(
         )
     p_matched, p_both, p_s_only, p_i_only = sector_probabilities(cfg.coherence_slots, phases)
     cumulative = (p_matched, p_both, p_both + p_s_only, p_both + p_s_only + p_i_only)
-    return sum(_run_blocks(_fringe_block, cfg, point, workers, cumulative))
+    return sum(count for *_, count in _run_blocks(_fringe_block, cfg, point, workers, cumulative))

@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten headline checks, one test and one printed
+"""Acceptance gate: the eleven headline checks, one test and one printed
 verdict line each. Run with `pytest -v -s tests/test_acceptance.py` to see
 the lines; each asserts at its stated tolerance.
 
@@ -6,10 +6,17 @@ Criteria 3 and 4 sample a lossless-channel variant of the baseline config,
 where both compared quantities are ratios that do not depend on the
 transmission scale. Criterion 10 samples the baseline config itself, with
 its channel transmissions near 6e-3, at 1e10 pulses: ten seconds of the
-1 GHz train. The analytic legs use the baseline config as is.
+1 GHz train. Criterion 11 runs the same config through the command line at
+1e12 pulses, a 1 GHz acquisition of about 17 minutes, in a child process
+whose wall time and peak memory it bounds. The analytic legs use the
+baseline config as is.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -322,5 +329,45 @@ def test_criterion_10_paper_operating_point():
         f"{hist.accidental_total} vs {expected_acc:.1f} (z {acc_z:+.2f}); "
         f"sampled ratio {est.car:.2f} +/- {est.stderr:.2f} vs closed form "
         f"{analytic:.3f} within 4 stderr; {elapsed:.1f} s < 120 s",
+    )
+    assert ok
+
+
+def test_criterion_11_paper_scale_command(tmp_path):
+    seed, pulses = 80_011, 10**12
+    cfg = replace(default_config(), num_pulses=pulses, seed=seed)
+    out = tmp_path / "car"
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "timebinsim.cli", "mc-car", "--out-dir", str(out)]
+    argv += ["--pulses", str(pulses), "--seed", str(seed)]
+    start = time.perf_counter()
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    elapsed = time.perf_counter() - start
+    peak_mib = usage.ru_maxrss / 1024  # KiB on Linux
+    assert child.returncode == 0
+
+    result = json.loads((out / "car.json").read_text())
+    p_zero, p_acc = threshold_bin_probabilities(cfg)
+    expected_zero = pulses * p_zero
+    expected_acc = sum((pulses - abs(d)) * p_acc for d in (-3, -2, -1, 1, 2, 3))
+    zero_z = (result["delay_zero_counts"] - expected_zero) / math.sqrt(expected_zero)
+    acc_z = (result["accidental_total"] - expected_acc) / math.sqrt(expected_acc)
+    mu = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_total
+    analytic = car_closed_form(mu, cfg.source, *symmetrized_detection(cfg))
+    within = abs(result["car"] - analytic) <= 4 * result["stderr"]
+
+    ok = abs(zero_z) <= 4 and abs(acc_z) <= 4 and within and elapsed < 60.0 and peak_mib < 150.0
+    verdict(
+        11,
+        ok,
+        f"baseline config, mc-car --pulses 1e12: delay-0 {result['delay_zero_counts']} vs "
+        f"{expected_zero:.1f} (z {zero_z:+.2f}), accidentals {result['accidental_total']} vs "
+        f"{expected_acc:.1f} (z {acc_z:+.2f}); ratio {result['car']:.2f} +/- "
+        f"{result['stderr']:.2f} vs closed form {analytic:.3f} within 4 stderr; "
+        f"{elapsed:.1f} s < 60 s, peak RSS {peak_mib:.0f} MiB < 150 MiB",
     )
     assert ok

@@ -1,6 +1,7 @@
 """Sampled runs: reproducibility contract, histogram mechanics, ratio and
 fringe counts checked against the closed forms and the amplitude engine."""
 
+import concurrent.futures
 import math
 import tracemalloc
 from dataclasses import replace
@@ -25,7 +26,10 @@ from timebinsim import (
 from timebinsim.montecarlo import (
     BLOCK_PULSES,
     COINCIDENCE_WINDOW,
+    EVENTS_PER_BLOCK,
+    MAX_BLOCK_PULSES,
     CoincidenceHistogram,
+    block_pulses,
     detected_counts,
     histogram_from_counts,
     _blocks,
@@ -56,25 +60,56 @@ def events_of(counts):
 
 class TestBlocks:
     def test_partition(self):
-        assert _blocks(2 * BLOCK_PULSES + 17) == [
-            (0, BLOCK_PULSES),
-            (1, BLOCK_PULSES),
-            (2, 17),
-        ]
-        assert _blocks(BLOCK_PULSES) == [(0, BLOCK_PULSES)]
-        assert _blocks(999) == [(0, 999)]
+        size = block_pulses(lossless_config(4e-3, 1))
+        assert _blocks(2 * size + 17, size) == [(0, size), (1, size), (2, 17)]
+        assert _blocks(size, size) == [(0, size)]
+        assert _blocks(999, size) == [(0, 999)]
+
+    def test_size_is_expected_events_over_draws_per_slot(self):
+        # Darks only: the two dark streams draw -log(1 - d) per slot each.
+        darks = lossless_config(4e-3, 1, dark_rate_hz=1e5)
+        darks = replace(darks, source=replace(darks.source, peak_power_w=0.0))
+        rate = -2 * math.log1p(-1e-4)
+        assert block_pulses(darks) == pytest.approx(EVENTS_PER_BLOCK / rate, abs=1)
+        # Fringe run with pairs only: the emitting slots alone, mu_c per slot.
+        fringe_cfg = pairs_only_config(4e-3, 1000, 1)
+        mu = PairStatistics.from_power(fringe_cfg.source.peak_power_w, fringe_cfg.source).mu_pairs
+        assert block_pulses(fringe_cfg) == pytest.approx(EVENTS_PER_BLOCK / mu, abs=1)
+
+    def test_size_is_clamped(self):
+        assert block_pulses(default_config()) == MAX_BLOCK_PULSES
+        assert block_pulses(lossless_config(1.0, 1)) == BLOCK_PULSES
+        dead = lossless_config(4e-3, 1, dark_rate_hz=0.0)
+        dead = replace(dead, source=replace(dead.source, peak_power_w=0.0))
+        assert block_pulses(dead) == MAX_BLOCK_PULSES
 
 
 class TestDispatch:
     @pytest.mark.parametrize(
         "workers, blocks, cores, size",
-        [(5000, 10, 4, 4), (5000, 3, 4, 3), (2, 10, 4, 2), (5000, 10, None, None)],
+        [
+            (5000, 10, 4, 4),
+            (5000, 3, 4, 3),
+            (2, 10, 4, 2),
+            (5000, 10, None, None),
+            (5000, 1, 4, None),
+        ],
     )
     def test_pool_capped_by_blocks_and_cores(self, monkeypatch, workers, blocks, cores, size):
         sizes = []
+        in_flight = [0, 0]  # now, highest
+
+        class FakeFuture:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                in_flight[0] -= 1
+                return self.value
 
         class FakePool:
-            """Records the pool size and maps serially; starts no process."""
+            """Records the pool size and the blocks in flight, runs each block
+            at submission; starts no process."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -85,15 +120,20 @@ class TestDispatch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+                return FakeFuture(fn(item))
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
         args = list(range(-blocks, 0))
         assert list(montecarlo._dispatch(abs, args, workers)) == [abs(a) for a in args]
-        # cpu_count() None counts as one core: serial, no pool at all.
+        # cpu_count() None counts as one core, and one block needs no pool:
+        # serial, no pool at all.
         assert sizes == ([] if size is None else [size])
+        assert in_flight[0] == 0
+        assert in_flight[1] <= 2 * (size or 0)
 
 
 class TestReproducibility:
@@ -120,12 +160,26 @@ class TestReproducibility:
             cfg, phases, workers=2
         )
 
+    def test_worker_count_is_invisible_across_blocks(self):
+        cfg = lossless_config(0.5, 3_000_000)
+        assert len(_blocks(cfg.num_pulses, block_pulses(cfg))) >= 3
+        assert simulate_car_run(cfg, workers=1) == simulate_car_run(cfg, workers=2)
+
+    def test_fringe_worker_count_is_invisible_across_blocks(self):
+        # Darks near 0.3 per slot make the blocks short at a valid pair mean.
+        cfg = lossless_config(0.05, 3_000_000, dark_rate_hz=3e8, interferometers=True)
+        assert len(_blocks(cfg.num_pulses, block_pulses(cfg))) >= 3
+        phases = PhasePair(0.3, 0.2)
+        assert simulate_fringe_run(cfg, phases, workers=1) == simulate_fringe_run(
+            cfg, phases, workers=2
+        )
+
     def test_point_zero_block_streams_are_seed_and_block(self, monkeypatch):
         # The documented contract: block b of a single run (point 0) draws
         # from default_rng((seed, b)); point p from default_rng((seed, b, p)).
         # With pairs only and unit alpha the signal events are the first
         # stream, shifted by the block's first slot.
-        monkeypatch.setattr(montecarlo, "BLOCK_PULSES", 1000)
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg: 1000)
         cfg = replace(pairs_only_config(0.05, 5, 2500, seed=77), interferometers_present=False)
         mu = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_pairs
         for point, key in ((0, ()), (2, (2,))):
@@ -190,6 +244,12 @@ class TestDetectedCounts:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_slot_sets_are_sorted_unique(self):
+        rng = np.random.default_rng(3)
+        for size in (0, 1, 50, 5000):
+            slots = rng.integers(0, 100, size)
+            assert np.array_equal(montecarlo._distinct(slots), np.unique(slots))
+
     def test_rejects_interferometer_setup(self):
         cfg = replace(lossless_config(4e-3, 100), interferometers_present=True)
         with pytest.raises(ValueError, match="without interferometers"):
@@ -235,6 +295,22 @@ class TestHistogram:
         assert hist.counts == brute_force_histogram(counts_s, counts_i, collapse)
         assert hist.num_pulses == 40
         assert sorted(hist.window_delays) == [-3, -2, -1, 1, 2, 3]
+
+    @pytest.mark.parametrize("collapse", [True, False])
+    def test_streamed_run_matches_whole_run_events(self, monkeypatch, collapse):
+        # Five blocks of 40 slots, the last one 2 slots long; at two
+        # detections per slot every block has events in its first and last
+        # COINCIDENCE_WINDOW slots, so pairs cross every block edge.
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg: 40)
+        cfg = lossless_config(2.0, 4 * 40 + 2)
+        signal, idler = detected_counts(cfg)
+        for slots, _ in (signal, idler):
+            assert {0, 1, 2, 37, 38, 39} <= set((slots % 40).tolist())
+        whole = histogram_from_counts(signal, idler, cfg.num_pulses, collapse=collapse)
+        blocks = montecarlo._car_blocks(cfg, 0, 1)
+        assert montecarlo._fold_histogram(blocks, cfg.num_pulses, collapse) == whole
+        if collapse:
+            assert simulate_car_run(cfg) == whole
 
     def test_collapse_bounds_multiphoton_bins(self):
         # At half a pair per pulse, double emissions are common; the
