@@ -1,35 +1,42 @@
 """Event-stream Monte Carlo of the source and detection chain.
 
-Two run types share one sampling backbone:
+One sampler serves both run types. Pairs are a Poisson stream; with both
+interferometers in, each pair falls into the sector the exact two-photon
+amplitudes give (quantum.sector_probabilities): both photons kept in one
+slot, kept one slot apart, one kept, or neither. Kept photons are thinned by
+the channel alphas, and noise photons and dark counts join them. Each run
+is a delay histogram of click pairs:
 
-* coincidence-histogram runs (no interferometers): Poisson pair and noise
-  photons, loss thinning, dark counts, and a delay histogram of click
-  pairs, feeding the coincidence-to-accidental estimate;
-* fringe runs (both interferometers in): single-pair emission per pulse,
-  with the joint slot outcome sampled from the exact two-photon
-  amplitudes, and delay-0 coincidences accumulated per phase setting.
+* coincidence-histogram runs (no interferometers) feed the
+  coincidence-to-accidental estimate;
+* a fringe point (one phase setting) is the delay-0 bin of the same folded
+  histogram. Multi-pair accidentals and the +-1-slot satellite peaks come
+  out of the sampler, at any pair mean.
 
 Work scales with detections, not pulses. A stream is a Poisson total at
-uniform slots, i.e. an independent Poisson count per slot; loss thinning
-splits the pairs into independent streams (both arms, one, neither). A slot
-hit with probability exactly p (a dark, a fringe-run emission) is drawn at
-mean -log(1 - p) and collapsed to a slot set. Detections travel per channel
-as (slots, counts): slots ascending, counts >= 1.
+uniform slots, i.e. an independent Poisson count per slot; thinning splits
+the pairs into independent streams (seen in both arms, one, neither). A
+slot hit with probability exactly d (a dark) is drawn at mean -log(1 - d)
+and collapsed to a slot set. Detections travel per channel as (slots,
+counts): slots ascending, counts >= 1.
 
 Reproducibility contract: a run is cut into consecutive blocks of
-block_pulses(cfg) pulses, sized so that a block expects about
-EVENTS_PER_BLOCK draws, within [BLOCK_PULSES, MAX_BLOCK_PULSES]. The size
-is a pure function of the config, and a Poisson process split at block
-edges leaves the blocks independent. Block b of sweep point p draws from
-default_rng((seed, b, p)) and results are merged in block order. A single
-run is point 0, and SeedSequence pads its entropy with zeros, so its block
-b draws from default_rng((seed, b)). Output is a pure function of
-(config, seed, point) no matter how many workers execute the blocks.
+block_pulses(cfg, sectors) pulses, sized so that a block expects about
+EVENTS_PER_BLOCK draws of the run's stream means, within [BLOCK_PULSES,
+MAX_BLOCK_PULSES]. The size is a pure function of the config and the phase
+setting, and a Poisson process split at block edges leaves the blocks
+independent. Block b of sweep point p draws from default_rng((seed, b, p))
+and results are merged in block order. A single run is point 0, and
+SeedSequence pads its entropy with zeros, so its block b draws from
+default_rng((seed, b)). Output is a pure function of (config, seed, point)
+no matter how many workers execute the blocks.
 
 The delay histogram is folded over the blocks as they arrive. Each
 channel's events in the last COINCIDENCE_WINDOW slots are carried into the
 next block, so a pair across a block edge is counted once and no run-length
-event list is held: memory is O(events per block).
+event list is held: memory is O(events per block). The later photon of a
+pair seen one slot apart can land one slot past its block; the fold merges
+that slot with the next block's first.
 
 Detectors are threshold detectors: any number of photons in one slot
 collapses to a single click. The uncollapsed per-slot detection counts are
@@ -60,10 +67,6 @@ EVENTS_PER_BLOCK = 1_000_000
 BLOCK_PULSES = 1_000_000
 MAX_BLOCK_PULSES = 10**10
 
-# Fringe-run emission is sampled as at most one pair per pulse, which is
-# only a faithful reading of the Poisson source well below one pair/pulse.
-SINGLE_PAIR_LIMIT = 0.1
-
 
 class InsufficientStatisticsError(ValueError):
     """Raised when a run produced no counts to estimate from."""
@@ -88,23 +91,42 @@ class CarEstimate:
     stderr: float
 
 
-def _stream_parameters(cfg: ExperimentConfig) -> tuple[float, ...]:
-    """(mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i): the means and per-arm
-    detection every block function starts from."""
+def _stream_means(cfg: ExperimentConfig, sectors: tuple | None = None) -> tuple[float, ...]:
+    """Per-slot means of a block's streams, in draw order.
+
+    Pairs seen in both arms in one slot, signal only, idler only, signal
+    noise, idler noise, signal darks, idler darks, then pairs seen one slot
+    apart, signal first and idler first. sectors are a fringe point's
+    sector_probabilities; without them (no interferometers) every pair is
+    matched. Noise photons see an interferometer as a phase-insensitive 1/2
+    loss. A dark stream has mean -log(1 - d), so a slot holds one with
+    probability exactly d once its events are deduplicated.
+    """
     stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
-    detection = arm_detection(cfg, include_interferometer=cfg.interferometers_present)
-    return (stats.mu_pairs, stats.mu_noise_signal, stats.mu_noise_idler, *detection)
+    a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=sectors is not None)
+    matched, s_first, i_first, s_only, i_only = sectors or (1.0, 0.0, 0.0, 0.0, 0.0)
+    noise = 1.0 if sectors is None else 0.5
+    mu_c = stats.mu_pairs
+    kept = matched + s_first + i_first
+    both = mu_c * a_s * a_i
+    return (
+        both * matched,
+        mu_c * a_s * (kept * (1.0 - a_i) + s_only),
+        mu_c * a_i * (kept * (1.0 - a_s) + i_only),
+        stats.mu_noise_signal * noise * a_s,
+        stats.mu_noise_idler * noise * a_i,
+        -log1p(-d_s),
+        -log1p(-d_i),
+        both * s_first,
+        both * i_first,
+    )
 
 
-def block_pulses(cfg: ExperimentConfig) -> int:
-    """Pulses per block: about EVENTS_PER_BLOCK expected draws of the run's
-    block function, clamped to [BLOCK_PULSES, MAX_BLOCK_PULSES]."""
-    mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i = _stream_parameters(cfg)
-    darks = -log1p(-d_s) - log1p(-d_i)
-    if cfg.interferometers_present:
-        rate = mu_c + 0.5 * (mu_n_s * a_s + mu_n_i * a_i) + darks
-    else:
-        rate = mu_c * (a_s + a_i - a_s * a_i) + mu_n_s * a_s + mu_n_i * a_i + darks
+def block_pulses(cfg: ExperimentConfig, sectors: tuple | None = None) -> int:
+    """Pulses per block: about EVENTS_PER_BLOCK expected draws of the
+    streams _stream_means(cfg, sectors) gives, clamped to [BLOCK_PULSES,
+    MAX_BLOCK_PULSES]."""
+    rate = sum(_stream_means(cfg, sectors))
     if rate * MAX_BLOCK_PULSES <= EVENTS_PER_BLOCK:
         return MAX_BLOCK_PULSES
     return max(BLOCK_PULSES, int(EVENTS_PER_BLOCK / rate))
@@ -139,16 +161,16 @@ def _dispatch(worker, args_list, workers: int):
             yield pending.popleft().result()
 
 
-def _run_blocks(block, cfg: ExperimentConfig, point: int, workers: int, *extra):
-    """(first slot, length, result) of each block of one run, in block order.
-    Block b gets (key, length, means, per-arm detection, *extra), keyed
+def _run_blocks(cfg: ExperimentConfig, point: int, workers: int, sectors: tuple | None = None):
+    """(first slot, length, events) of each block of one run, in block order.
+    Block b draws the streams of _stream_means(cfg, sectors) from the key
     (cfg.seed, b, point).
     """
-    size = block_pulses(cfg)
+    size = block_pulses(cfg, sectors)
     blocks = _blocks(cfg.num_pulses, size)
-    parameters = _stream_parameters(cfg)
-    args = [((cfg.seed, index, point), length, *parameters, *extra) for index, length in blocks]
-    results = _dispatch(block, args, workers)
+    means = _stream_means(cfg, sectors)
+    args = [((cfg.seed, index, point), length, means) for index, length in blocks]
+    results = _dispatch(_block, args, workers)
     return ((index * size, length, result) for (index, length), result in zip(blocks, results))
 
 
@@ -166,35 +188,22 @@ def _distinct(slots: np.ndarray) -> np.ndarray:
     return slots[keep]
 
 
-def _slot_set(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
-    """Ascending slots, each present with probability exactly p."""
-    return _distinct(_events(rng, n, -log1p(-p)))
-
-
-# ----------------------------------------------------------------------
-# coincidence-histogram runs (no interferometers)
-# ----------------------------------------------------------------------
-
-def _car_block(args):
+def _block(args):
     """Detection events of one pulse block, (slots, counts) per channel.
 
-    Draw order is fixed: pairs seen in both arms, signal only, idler only,
-    signal noise, idler noise, signal darks, idler darks. A recorded dark
-    is one detection event, so it adds 1 to the slot's count.
+    The streams are drawn in the order of _stream_means. A recorded dark is
+    one detection event, so it adds 1 to the slot's count. A pair seen one
+    slot apart puts its later photon in the next slot, so a block's events
+    span slots 0..n.
     """
-    (key, n, mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i) = args
+    key, n, means = args
     rng = np.random.default_rng(key)
-    both = _events(rng, n, mu_c * a_s * a_i)
-    only_s = _events(rng, n, mu_c * a_s * (1.0 - a_i))
-    only_i = _events(rng, n, mu_c * a_i * (1.0 - a_s))
-    noise_s = _events(rng, n, mu_n_s * a_s)
-    noise_i = _events(rng, n, mu_n_i * a_i)
-    dark_s = _slot_set(rng, n, d_s)
-    dark_i = _slot_set(rng, n, d_i)
-    return (
-        np.unique(np.concatenate((both, only_s, noise_s, dark_s)), return_counts=True),
-        np.unique(np.concatenate((both, only_i, noise_i, dark_i)), return_counts=True),
+    both, only_s, only_i, noise_s, noise_i, dark_s, dark_i, s_first, i_first = (
+        _events(rng, n, mean) for mean in means
     )
+    signal = (both, only_s, noise_s, _distinct(dark_s), s_first, i_first + 1)
+    idler = (both, only_i, noise_i, _distinct(dark_i), s_first + 1, i_first)
+    return tuple(np.unique(np.concatenate(part), return_counts=True) for part in (signal, idler))
 
 
 def _car_blocks(cfg: ExperimentConfig, point: int, workers: int):
@@ -202,7 +211,7 @@ def _car_blocks(cfg: ExperimentConfig, point: int, workers: int):
     require_valid(cfg)
     if cfg.interferometers_present:
         raise ValueError("histogram runs model the setup without interferometers")
-    return _run_blocks(_car_block, cfg, point, workers)
+    return _run_blocks(cfg, point, workers)
 
 
 def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
@@ -241,22 +250,37 @@ def histogram_from_counts(
     return CoincidenceHistogram(counts=counts, num_pulses=num_pulses, window_delays=delays)
 
 
+def _join(tail, events, start: int):
+    """One channel's tail followed by a block's events, shifted to start.
+
+    A later photon of the previous block may land in the block's first
+    slot; its count then merges into the block's event there, so each slot
+    stays one event.
+    """
+    (tail_slots, tail_counts), (slots, counts) = tail, events
+    slots = slots + start
+    if len(tail_slots) and len(slots) and tail_slots[-1] == slots[0]:
+        counts = counts.copy()
+        counts[0] += tail_counts[-1]
+        tail_slots, tail_counts = tail_slots[:-1], tail_counts[:-1]
+    return np.concatenate((tail_slots, slots)), np.concatenate((tail_counts, counts))
+
+
 def _fold_histogram(blocks, num_pulses: int, collapse: bool) -> CoincidenceHistogram:
     """Delay histogram of a run from its (first slot, length, events) blocks.
 
-    The tail, each channel's events in the last COINCIDENCE_WINDOW slots so
-    far, rides into the next block. Adding the histogram of tail + block and
-    subtracting the tail's own counts every pair within the block or across
-    its leading edge exactly once.
+    The tail, each channel's events from COINCIDENCE_WINDOW slots before the
+    next block's first slot on, rides into the next block. Adding the
+    histogram of tail + block and subtracting the tail's own counts every
+    pair within the block or across its leading edge exactly once. Both
+    counts are bilinear in the events, so a tail event whose count grows by
+    the merge in _join adds only its new pairs.
     """
     totals = dict.fromkeys(range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1), 0)
     empty = np.empty(0, dtype=np.int64)
     tail = ((empty, empty), (empty, empty))
     for start, length, block in blocks:
-        joined = [
-            (np.concatenate((tail_slots, slots + start)), np.concatenate((tail_counts, counts)))
-            for (tail_slots, tail_counts), (slots, counts) in zip(tail, block)
-        ]
+        joined = [_join(channel_tail, events, start) for channel_tail, events in zip(tail, block)]
         added = histogram_from_counts(*joined, length, collapse).counts
         counted = histogram_from_counts(*tail, 0, collapse).counts
         for delay in totals:
@@ -295,57 +319,14 @@ def estimate_car(hist: CoincidenceHistogram) -> CarEstimate:
     return CarEstimate(car=car, stderr=car * sqrt(1.0 / zero + 1.0 / acc_total))
 
 
-# ----------------------------------------------------------------------
-# fringe runs (both interferometers in)
-# ----------------------------------------------------------------------
-
-def _fringe_block(args) -> int:
-    """Delay-0 coincidences in one block of a fringe run.
-
-    Pair outcomes per emitting pulse fall in five bins, with probabilities
-    taken from the amplitude engine: both photons kept in matched slots,
-    both kept one slot apart, signal kept only, idler kept only, neither.
-    Kept photons are then thinned by the channel alphas. The one-slot-apart
-    outcome yields two singles but no delay-0 pair coincidence; folding it
-    into the matched bin would bias the fringe, since the matched and total
-    kept-kept norms carry different phase dependence.
-    """
-    (key, n, mu_c, mu_n_s, mu_n_i, a_s, a_i, d_s, d_i, cum) = args
-    rng = np.random.default_rng(key)
-    emitting = _slot_set(rng, n, mu_c)
-    m = len(emitting)
-
-    category = np.searchsorted(cum, rng.random(m), side="right")
-    s_pair = (category <= 2) & (rng.random(m) < a_s)
-    i_pair = ((category <= 1) | (category == 3)) & (rng.random(m) < a_i)
-
-    # Noise photons see the interferometer as a phase-insensitive 1/2 loss.
-    noise_s = _events(rng, n, mu_n_s * 0.5 * a_s)
-    noise_i = _events(rng, n, mu_n_i * 0.5 * a_i)
-    other_s = _distinct(np.concatenate((noise_s, _slot_set(rng, n, d_s))))
-    other_i = _distinct(np.concatenate((noise_i, _slot_set(rng, n, d_i))))
-
-    # Only emitting slots can add a pair photon to a coincidence.
-    s_other = np.isin(emitting, other_s, assume_unique=True)
-    i_other = np.isin(emitting, other_i, assume_unique=True)
-    pair = ((category == 0) & s_pair & i_pair) | (s_pair & i_other) | (s_other & i_pair)
-    others = np.intersect1d(other_s, other_i, assume_unique=True)
-    return len(others) + int(np.count_nonzero(pair & ~(s_other & i_other)))
-
-
 def simulate_fringe_run(
     cfg: ExperimentConfig, phases: PhasePair, workers: int = 1, *, point: int = 0
 ) -> int:
-    """Delay-0 coincidence count at one phase setting over cfg.num_pulses."""
+    """Delay-0 coincidence count at one phase setting over cfg.num_pulses:
+    the delay-0 bin of the run's folded histogram."""
     require_valid(cfg)
     if not cfg.interferometers_present:
         raise ValueError("fringe runs require interferometers_present = True")
-    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
-    if stats.mu_pairs >= SINGLE_PAIR_LIMIT:
-        raise ValueError(
-            f"pair mean {stats.mu_pairs:.3g} >= {SINGLE_PAIR_LIMIT}: "
-            "single-pair-per-pulse sampling is not valid there"
-        )
-    p_matched, p_both, p_s_only, p_i_only = sector_probabilities(cfg.coherence_slots, phases)
-    cumulative = (p_matched, p_both, p_both + p_s_only, p_both + p_s_only + p_i_only)
-    return sum(count for *_, count in _run_blocks(_fringe_block, cfg, point, workers, cumulative))
+    sectors = sector_probabilities(cfg.coherence_slots, phases)
+    blocks = _run_blocks(cfg, point, workers, sectors)
+    return _fold_histogram(blocks, cfg.num_pulses, collapse=True).counts[0]

@@ -35,11 +35,6 @@ class PhasePair:
     signal: float
     idler: float
 
-    def reduced(self) -> "PhasePair":
-        """Phases folded into [0, 2 pi), for reporting only."""
-        two_pi = 2.0 * math.pi
-        return PhasePair(self.signal % two_pi, self.idler % two_pi)
-
 
 def _taps(phase: float, kept: bool = True) -> Taps:
     """(direct, delayed) amplitudes of one interferometer output port."""
@@ -85,26 +80,25 @@ def fringe(n_slots: int, phases: PhasePair) -> float:
 
 def sector_probabilities(
     n_slots: int, phases: PhasePair
-) -> tuple[float, float, float, float]:
+) -> tuple[float, float, float, float, float]:
     """Joint pair-outcome probabilities after both interferometers.
 
-    Returns (matched, both kept, signal kept only, idler kept only); the
-    neither-kept remainder completes the distribution. Each sector is the
-    band norm under its pair of port taps, and "both kept" includes the
-    one-slot-apart bands. The five outcomes must sum to 1: that is checked,
-    not assumed.
+    Returns (matched, signal first, idler first, signal kept only, idler
+    kept only); the neither-kept remainder completes the distribution. With
+    both photons kept they share a slot (matched) or sit one slot apart,
+    the signal or the idler photon first. Each sector is the band norm
+    under its pair of port taps. The six outcomes must sum to 1: that is
+    checked, not assumed.
     """
     s_kept, s_lost = _taps(phases.signal), _taps(phases.signal, kept=False)
     i_kept, i_lost = _taps(phases.idler), _taps(phases.idler, kept=False)
-    matched, signal_first, idler_first = _bands(n_slots, s_kept, i_kept)
-    p_matched = _norm(matched)
-    p_both = p_matched + _norm(signal_first, idler_first)
+    both = [_norm(band) for band in _bands(n_slots, s_kept, i_kept)]
     p_s_only = _norm(*_bands(n_slots, s_kept, i_lost))
     p_i_only = _norm(*_bands(n_slots, s_lost, i_kept))
     p_none = _norm(*_bands(n_slots, s_lost, i_lost))
-    if abs(p_both + p_s_only + p_i_only + p_none - 1.0) > 1e-9:
+    if abs(sum(both) + p_s_only + p_i_only + p_none - 1.0) > 1e-9:
         raise AssertionError("interferometer port probabilities do not sum to 1")
-    return p_matched, p_both, p_s_only, p_i_only
+    return (*both, p_s_only, p_i_only)
 
 
 def ideal_visibility(n_slots: int) -> float:

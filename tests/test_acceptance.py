@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import lossless_config, pairs_only_config
+from conftest import lossless_config, pairs_only_config, threshold_bin_probabilities
 from timebinsim import (
     PairStatistics,
     PhasePair,
@@ -277,39 +277,14 @@ def test_criterion_9_bitwise_reproducible_commands(tmp_path):
     assert ok
 
 
-def threshold_bin_probabilities(cfg) -> tuple[float, float]:
-    """Click-pair probability of one slot pair, at delay 0 and at any other
-    delay, for threshold detectors.
-
-    Pair photons split into independent Poisson streams (seen in both arms,
-    in one, in neither), so the joint no-click probability of the two
-    channels is a product of exponentials and the dark-free slot chances.
-    """
-    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
-    a_s, a_i = effective_alpha(cfg.signal), effective_alpha(cfg.idler)
-    d_s = dark_per_slot(cfg.signal, cfg.source.rep_rate_ghz)
-    d_i = dark_per_slot(cfg.idler, cfg.source.rep_rate_ghz)
-    log_quiet_s = -(stats.mu_pairs + stats.mu_noise_signal) * a_s + math.log1p(-d_s)
-    log_quiet_i = -(stats.mu_pairs + stats.mu_noise_idler) * a_i + math.log1p(-d_i)
-    log_quiet_both = (
-        -stats.mu_pairs * (a_s + a_i - a_s * a_i)
-        - stats.mu_noise_signal * a_s
-        - stats.mu_noise_idler * a_i
-        + math.log1p(-d_s)
-        + math.log1p(-d_i)
-    )
-    click_s, click_i = -math.expm1(log_quiet_s), -math.expm1(log_quiet_i)
-    return click_s + click_i + math.expm1(log_quiet_both), click_s * click_i
-
-
 def test_criterion_10_paper_operating_point():
     start = time.perf_counter()
     cfg = replace(default_config(), num_pulses=10**10, seed=80_010)
     hist = simulate_car_run(cfg)
     n = cfg.num_pulses
-    p_zero, p_acc = threshold_bin_probabilities(cfg)
-    expected_zero = n * p_zero
-    expected_acc = sum((n - abs(d)) * p_acc for d in hist.window_delays)
+    p = threshold_bin_probabilities(cfg)
+    expected_zero = n * p[0]
+    expected_acc = sum((n - abs(d)) * p[d] for d in hist.window_delays)
     zero_z = (hist.counts[0] - expected_zero) / math.sqrt(expected_zero)
     acc_z = (hist.accidental_total - expected_acc) / math.sqrt(expected_acc)
 
@@ -351,9 +326,9 @@ def test_criterion_11_paper_scale_command(tmp_path):
     assert child.returncode == 0
 
     result = json.loads((out / "car.json").read_text())
-    p_zero, p_acc = threshold_bin_probabilities(cfg)
-    expected_zero = pulses * p_zero
-    expected_acc = sum((pulses - abs(d)) * p_acc for d in (-3, -2, -1, 1, 2, 3))
+    p = threshold_bin_probabilities(cfg)
+    expected_zero = pulses * p[0]
+    expected_acc = sum((pulses - abs(d)) * p[d] for d in (-3, -2, -1, 1, 2, 3))
     zero_z = (result["delay_zero_counts"] - expected_zero) / math.sqrt(expected_zero)
     acc_z = (result["accidental_total"] - expected_acc) / math.sqrt(expected_acc)
     mu = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_total

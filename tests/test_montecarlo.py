@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import lossless_config, pairs_only_config
+from conftest import lossless_config, pairs_only_config, threshold_bin_probabilities
 from timebinsim import montecarlo
 from timebinsim import (
     InsufficientStatisticsError,
@@ -20,6 +20,7 @@ from timebinsim import (
     estimate_car,
     fringe,
     pump_power_for_mu,
+    sector_probabilities,
     simulate_car_run,
     simulate_fringe_run,
 )
@@ -71,10 +72,16 @@ class TestBlocks:
         darks = replace(darks, source=replace(darks.source, peak_power_w=0.0))
         rate = -2 * math.log1p(-1e-4)
         assert block_pulses(darks) == pytest.approx(EVENTS_PER_BLOCK / rate, abs=1)
-        # Fringe run with pairs only: the emitting slots alone, mu_c per slot.
+        # Fringe point with pairs only and unit alpha: one draw per pair that
+        # leaves a photon in a kept port, mu_c (1 - p_none) per slot. Neither
+        # kept is both kept with both phases shifted by pi.
         fringe_cfg = pairs_only_config(4e-3, 1000, 1)
         mu = PairStatistics.from_power(fringe_cfg.source.peak_power_w, fringe_cfg.source).mu_pairs
-        assert block_pulses(fringe_cfg) == pytest.approx(EVENTS_PER_BLOCK / mu, abs=1)
+        sectors = sector_probabilities(1000, PhasePair(0.4, 0.0))
+        p_none = sum(sector_probabilities(1000, PhasePair(0.4 + math.pi, math.pi))[:3])
+        assert block_pulses(fringe_cfg, sectors) == pytest.approx(
+            EVENTS_PER_BLOCK / (mu * (1 - p_none)), abs=1
+        )
 
     def test_size_is_clamped(self):
         assert block_pulses(default_config()) == MAX_BLOCK_PULSES
@@ -166,10 +173,11 @@ class TestReproducibility:
         assert simulate_car_run(cfg, workers=1) == simulate_car_run(cfg, workers=2)
 
     def test_fringe_worker_count_is_invisible_across_blocks(self):
-        # Darks near 0.3 per slot make the blocks short at a valid pair mean.
+        # Darks near 0.3 per slot make the blocks short.
         cfg = lossless_config(0.05, 3_000_000, dark_rate_hz=3e8, interferometers=True)
-        assert len(_blocks(cfg.num_pulses, block_pulses(cfg))) >= 3
         phases = PhasePair(0.3, 0.2)
+        sectors = sector_probabilities(cfg.coherence_slots, phases)
+        assert len(_blocks(cfg.num_pulses, block_pulses(cfg, sectors))) >= 3
         assert simulate_fringe_run(cfg, phases, workers=1) == simulate_fringe_run(
             cfg, phases, workers=2
         )
@@ -179,7 +187,7 @@ class TestReproducibility:
         # from default_rng((seed, b)); point p from default_rng((seed, b, p)).
         # With pairs only and unit alpha the signal events are the first
         # stream, shifted by the block's first slot.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg: 1000)
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 1000)
         cfg = replace(pairs_only_config(0.05, 5, 2500, seed=77), interferometers_present=False)
         mu = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_pairs
         for point, key in ((0, ()), (2, (2,))):
@@ -206,8 +214,8 @@ class TestReproducibility:
         assert point_1 != simulate_fringe_run(replace(cfg, seed=101), phases)
 
     def test_fringe_depends_on_phase_sum_only(self):
-        # Identical seed and identical phase sum: the sampled categories
-        # are drawn from the same thresholds by the same stream.
+        # Identical seed and identical phase sum: the same stream draws at
+        # the same sector probabilities.
         cfg = pairs_only_config(4e-3, 1000, 400_000)
         a = simulate_fringe_run(cfg, PhasePair(1.0, 0.5))
         b = simulate_fringe_run(cfg, PhasePair(1.5, 0.0))
@@ -301,7 +309,7 @@ class TestHistogram:
         # Five blocks of 40 slots, the last one 2 slots long; at two
         # detections per slot every block has events in its first and last
         # COINCIDENCE_WINDOW slots, so pairs cross every block edge.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg: 40)
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
         cfg = lossless_config(2.0, 4 * 40 + 2)
         signal, idler = detected_counts(cfg)
         for slots, _ in (signal, idler):
@@ -378,14 +386,16 @@ class TestCarAgainstClosedForm:
 
 class TestFringeRun:
     def test_counts_match_amplitude_engine(self):
-        # Pure pairs with unit alpha: a delay-0 coincidence is exactly a
-        # matched-slot outcome, so the mean count is pulses * mu * p_matched
-        # with p_matched straight from the amplitude engine.
+        # Pure pairs with unit alpha: a delay-0 coincidence is a matched-slot
+        # outcome or two pairs whose photons share a slot, so the mean count
+        # is pulses * P_0 with the sector probabilities straight from the
+        # amplitude engine. At phi = pi it is 4.49, not pulses * mu *
+        # p_matched = 0.5.
         n_slots, mu, pulses = 1000, 4e-3, 1_000_000
         for phi in (0.0, 0.5 * math.pi, math.pi):
             cfg = pairs_only_config(mu, n_slots, pulses, seed=50_000 + int(10 * phi))
             got = simulate_fringe_run(cfg, PhasePair(phi, 0.0))
-            expected = pulses * mu * fringe(n_slots, PhasePair(phi, 0.0))
+            expected = pulses * threshold_bin_probabilities(cfg, PhasePair(phi, 0.0))[0]
             assert abs(got - expected) <= 4 * math.sqrt(expected) + 3, f"phi={phi}"
 
     def test_phase_sum_pairs_conserve_counts(self):
@@ -403,23 +413,70 @@ class TestFringeRun:
 
     def test_visibility_reaches_slot_count_bound(self):
         # Five slots, no noise anywhere: the fitted fringe visibility is the
-        # ideal (n-1)/n up to counting noise.
+        # fit of the expected counts up to counting noise. Two pairs in one
+        # pulse add a phase-free floor, so at mu = 0.05 that is 0.727, below
+        # the ideal (n-1)/n = 0.8 of the amplitude engine.
         from timebinsim import fit_fringe
 
         phases = 2 * math.pi * np.arange(12) / 12
-        counts = []
+        counts, expected = [], []
         for k, phi in enumerate(phases):
             cfg = pairs_only_config(0.05, 5, 200_000, seed=52_000 + k)
             counts.append(simulate_fringe_run(cfg, PhasePair(phi, 0.0)))
+            expected.append(200_000 * threshold_bin_probabilities(cfg, PhasePair(phi, 0.0))[0])
         fit = fit_fringe(phases, counts)
-        assert fit.visibility == pytest.approx(0.8, abs=0.04)
+        assert fit.visibility == pytest.approx(fit_fringe(phases, expected).visibility, abs=0.04)
 
-    def test_rejects_multi_pair_regime(self):
-        cfg = lossless_config(0.5, 1000, interferometers=True)
-        with pytest.raises(ValueError, match="single-pair"):
-            simulate_fringe_run(cfg, PhasePair(0.0, 0.0))
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pairs_only_config(0.5, 5, 100_000),
+            lossless_config(4e-3, 5_000_000, interferometers=True),
+        ],
+        ids=["pairs-mu-0.5", "lossless-mu-4e-3"],
+    )
+    def test_delay_histogram_matches_closed_form(self, cfg):
+        # The whole folded histogram of a fringe point, not only delay 0:
+        # multi-pair accidentals everywhere and the one-slot-apart pairs at
+        # +-1, summed over 40 seeds, each bin within 4 sigma.
+        phases = PhasePair(1.0, 0.3)
+        sectors = sector_probabilities(cfg.coherence_slots, phases)
+        p = threshold_bin_probabilities(cfg, phases)
+        n, runs = cfg.num_pulses, 40
+        totals = dict.fromkeys(p, 0)
+        for k in range(runs):
+            blocks = montecarlo._run_blocks(replace(cfg, seed=60_000 + k), 0, 1, sectors)
+            for delay, count in montecarlo._fold_histogram(blocks, n, True).counts.items():
+                totals[delay] += count
+        for delay, count in totals.items():
+            expected = runs * (n - abs(delay)) * p[delay]
+            assert abs(count - expected) <= 4 * math.sqrt(expected), f"delay {delay}"
+        assert totals[1] > totals[2] and totals[-1] > totals[-2]
 
     def test_rejects_histogram_setup(self):
         cfg = lossless_config(4e-3, 1000, interferometers=False)
         with pytest.raises(ValueError, match="interferometers_present"):
             simulate_fringe_run(cfg, PhasePair(0.0, 0.0))
+
+    def test_pair_across_block_edge_counted_once(self, monkeypatch):
+        # Blocks of 20 slots at 8 pairs per pulse: one-slot-apart pairs put
+        # their later photon one slot past their block, into a slot the next
+        # block fills too. The fold must merge it into one event, on any
+        # worker count, and equal the histogram of the whole run's events.
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 20)
+        cfg = pairs_only_config(8.0, 5, 10 * 20 + 3)
+        sectors = sector_probabilities(5, PhasePair(0.6, 0.0))
+        blocks = list(montecarlo._run_blocks(cfg, 0, 1, sectors))
+        assert len(blocks) == 11
+        assert any(slots[-1] == length for _, length, block in blocks for slots, _ in block)
+        whole = []
+        for channel in range(2):
+            slots = np.concatenate([block[channel][0] + start for start, _, block in blocks])
+            counts = np.concatenate([block[channel][1] for _, _, block in blocks])
+            merged, at = np.unique(slots, return_inverse=True)
+            whole.append((merged, np.bincount(at, counts).astype(np.int64)))
+        parallel = list(montecarlo._run_blocks(cfg, 0, 2, sectors))
+        for collapse in (True, False):
+            folded = montecarlo._fold_histogram(blocks, cfg.num_pulses, collapse)
+            assert folded == histogram_from_counts(*whole, cfg.num_pulses, collapse)
+            assert montecarlo._fold_histogram(parallel, cfg.num_pulses, collapse) == folded

@@ -18,8 +18,11 @@ from timebinsim.quantum import _bands, _taps
 NO_INTERFEROMETER = (1.0, 0.0)
 
 
-def brute_force_sectors(n: int, phi_s: float, phi_i: float) -> tuple[float, float, float, float]:
-    """(matched, both kept, signal only, idler only) by direct ket enumeration.
+def brute_force_sectors(
+    n: int, phi_s: float, phi_i: float
+) -> tuple[float, float, float, float, float]:
+    """(matched, signal first, idler first, signal only, idler only) by
+    direct ket enumeration.
 
     Each photon leaves through the kept port, with taps (1/2, e^{i phi}/2),
     or the discarded one, whose delayed tap carries the opposite sign.
@@ -36,16 +39,17 @@ def brute_force_sectors(n: int, phi_s: float, phi_i: float) -> tuple[float, floa
                         key = (kept_s, kept_i, slot_s, slot_i)
                         amp[key] = amp.get(key, 0.0) + c * amp_s * amp_i
 
-    def norm(kept_s, kept_i, matched_only=False):
+    def norm(kept_s, kept_i, delays=(-1, 0, 1)):
         return sum(
             abs(v) ** 2
             for (ks, ki, s, i), v in amp.items()
-            if (ks, ki) == (kept_s, kept_i) and (s == i or not matched_only)
+            if (ks, ki) == (kept_s, kept_i) and i - s in delays
         )
 
     return (
-        norm(True, True, matched_only=True),
-        norm(True, True),
+        norm(True, True, delays=(0,)),
+        norm(True, True, delays=(1,)),
+        norm(True, True, delays=(-1,)),
         norm(True, False),
         norm(False, True),
     )
@@ -57,13 +61,14 @@ def brute_force_fringe(n: int, phi_s: float, phi_i: float) -> float:
 
 
 def all_five_outcomes(n: int, phases: PhasePair) -> float:
-    """Sum of the four sectors plus neither kept.
+    """Sum of both kept, signal only, idler only and neither kept.
 
-    Neither kept is "both kept" with both delayed taps negated, i.e. both
-    phases shifted by pi.
+    Both kept is the matched and the two one-apart sectors. Neither kept is
+    "both kept" with both delayed taps negated, i.e. both phases shifted by
+    pi.
     """
     flipped = PhasePair(phases.signal + math.pi, phases.idler + math.pi)
-    return sum(sector_probabilities(n, phases)[1:]) + sector_probabilities(n, flipped)[1]
+    return sum(sector_probabilities(n, phases)) + sum(sector_probabilities(n, flipped)[:3])
 
 
 def band_norm(bands) -> float:
@@ -133,7 +138,8 @@ class TestApplyMzi:
         # Interference in the monitored ports: the retained norm is the
         # matched closed form plus a constant 1/8 of one-slot-apart pairs
         # (2n off-diagonal paths of weight 1/(16n) each), not a flat 1/4.
-        matched, both_kept, _, _ = sector_probabilities(n, PhasePair(theta, 0.0))
+        matched, signal_first, idler_first, _, _ = sector_probabilities(n, PhasePair(theta, 0.0))
+        both_kept = matched + signal_first + idler_first
         expected = (2 + 2 * (n - 1) * (1 + math.cos(theta))) / (16 * n) + 0.125
         assert both_kept == pytest.approx(expected, abs=1e-12)
         assert both_kept - matched == pytest.approx(0.125, abs=1e-12)
@@ -238,11 +244,6 @@ class TestIdealVisibility:
 
 
 class TestPhasePair:
-    def test_reduced_folds_into_principal_range(self):
-        reduced = PhasePair(-math.pi / 2, 5 * math.pi).reduced()
-        assert reduced.signal == pytest.approx(1.5 * math.pi, rel=1e-12)
-        assert reduced.idler == pytest.approx(math.pi, rel=1e-12)
-
     def test_raw_values_kept_for_arithmetic(self):
         pair = PhasePair(7.0, -3.0)
         assert (pair.signal, pair.idler) == (7.0, -3.0)
