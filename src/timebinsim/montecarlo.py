@@ -17,8 +17,9 @@ Work scales with detections, not pulses. A stream is a Poisson total at
 uniform slots, i.e. an independent Poisson count per slot; thinning splits
 the pairs into independent streams (seen in both arms, one, neither). A
 slot hit with probability exactly d (a dark) is drawn at mean -log(1 - d)
-and collapsed to a slot set. Detections travel per channel as (slots,
-counts): slots ascending, counts >= 1.
+and collapsed to a slot set. A channel's detections are one ascending slot
+array with one entry per detection, so a slot with k detections appears k
+times.
 
 Reproducibility contract: a run is cut into consecutive blocks of
 block_pulses(cfg, sectors) pulses, sized so that a block expects about
@@ -32,15 +33,16 @@ default_rng((seed, b)). Output is a pure function of (config, seed, point)
 no matter how many workers execute the blocks.
 
 The delay histogram is folded over the blocks as they arrive. Each
-channel's events in the last COINCIDENCE_WINDOW slots are carried into the
-next block, so a pair across a block edge is counted once and no run-length
-event list is held: memory is O(events per block). The later photon of a
-pair seen one slot apart can land one slot past its block; the fold merges
-that slot with the next block's first.
+channel's detections in the last COINCIDENCE_WINDOW slots are carried into
+the next block, so a pair across a block edge is counted once and no
+run-length detection list is held: memory is O(detections per block). The
+later photon of a pair seen one slot apart can land one slot past its
+block, where it is one more entry of a slot the next block may fill too.
 
 Detectors are threshold detectors: any number of photons in one slot
-collapses to a single click. The uncollapsed per-slot detection counts are
-exposed for diagnostics, since comparing the two histograms bounds the
+collapses to a single click, so the recorded histogram needs only the
+distinct slots. The uncollapsed histogram, which counts every detection
+pair, is exposed for diagnostics, since comparing the two bounds the
 multi-photon contribution.
 """
 
@@ -141,11 +143,12 @@ def _blocks(num_pulses: int, size: int) -> list[tuple[int, int]]:
 def _dispatch(worker, args_list, workers: int):
     """Yield worker(args) in order, so callers can merge each and free it.
 
-    The pool has no more processes than there are blocks or cores, and at
-    most two blocks per process are in flight, so finished results wait in
-    memory only until the caller reaches them.
+    The pool has no more processes than there are blocks or cores this
+    process may run on, and at most two blocks per process are in flight,
+    so finished results wait in memory only until the caller reaches them.
     """
-    size = min(workers, len(args_list), os.cpu_count() or 1)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = min(workers, len(args_list), cores or 1)
     if size <= 1:
         yield from map(worker, args_list)
         return
@@ -162,7 +165,7 @@ def _dispatch(worker, args_list, workers: int):
 
 
 def _run_blocks(cfg: ExperimentConfig, point: int, workers: int, sectors: tuple | None = None):
-    """(first slot, length, events) of each block of one run, in block order.
+    """(first slot, length, detections) of each block of one run, in order.
     Block b draws the streams of _stream_means(cfg, sectors) from the key
     (cfg.seed, b, point).
     """
@@ -171,7 +174,10 @@ def _run_blocks(cfg: ExperimentConfig, point: int, workers: int, sectors: tuple 
     means = _stream_means(cfg, sectors)
     args = [((cfg.seed, index, point), length, means) for index, length in blocks]
     results = _dispatch(_block, args, workers)
-    return ((index * size, length, result) for (index, length), result in zip(blocks, results))
+    # The generator keeps no reference to a yielded block, so the caller can
+    # free it before the next block is drawn.
+    for index, length in blocks:
+        yield index * size, length, next(results)
 
 
 def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
@@ -180,30 +186,34 @@ def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
 
 
 def _distinct(slots: np.ndarray) -> np.ndarray:
-    """np.unique by sorting. Without return_counts, numpy 2.3+ takes a hash
-    path that is ~50x slower on a million slots."""
-    slots = np.sort(slots)
+    """Distinct entries of ascending slots. np.unique would sort again, and
+    without return_counts numpy 2.3+ takes a hash path that is ~50x slower
+    on a million slots."""
     keep = np.ones(len(slots), dtype=bool)
     np.not_equal(slots[1:], slots[:-1], out=keep[1:])
     return slots[keep]
 
 
 def _block(args):
-    """Detection events of one pulse block, (slots, counts) per channel.
+    """Detections of one pulse block: each channel's ascending slots, one
+    entry per detection.
 
     The streams are drawn in the order of _stream_means. A recorded dark is
-    one detection event, so it adds 1 to the slot's count. A pair seen one
-    slot apart puts its later photon in the next slot, so a block's events
-    span slots 0..n.
+    one detection, so each channel's darks are deduplicated before they join
+    the photons. A pair seen one slot apart puts its later photon in the
+    next slot, so a block's detections span slots 0..n.
     """
     key, n, means = args
     rng = np.random.default_rng(key)
     both, only_s, only_i, noise_s, noise_i, dark_s, dark_i, s_first, i_first = (
         _events(rng, n, mean) for mean in means
     )
-    signal = (both, only_s, noise_s, _distinct(dark_s), s_first, i_first + 1)
-    idler = (both, only_i, noise_i, _distinct(dark_i), s_first + 1, i_first)
-    return tuple(np.unique(np.concatenate(part), return_counts=True) for part in (signal, idler))
+    signal = (both, only_s, noise_s, _distinct(np.sort(dark_s)), s_first, i_first + 1)
+    idler = (both, only_i, noise_i, _distinct(np.sort(dark_i)), s_first + 1, i_first)
+    channels = tuple(np.concatenate(part) for part in (signal, idler))
+    for slots in channels:
+        slots.sort()
+    return channels
 
 
 def _car_blocks(cfg: ExperimentConfig, point: int, workers: int):
@@ -215,78 +225,66 @@ def _car_blocks(cfg: ExperimentConfig, point: int, workers: int):
 
 
 def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
-    """Detection events of a histogram run, (slots, counts) per channel."""
-    merged = ([], []), ([], [])
+    """Detections of a histogram run: (signal, idler), each channel's
+    ascending slots with one entry per detection."""
+    merged = [], []
     for start, _, block in _car_blocks(cfg, point, workers):
-        for (slots, counts), (slots_local, counts_local) in zip(merged, block):
-            slots.append(slots_local + start)
-            counts.append(counts_local)
-    return tuple((np.concatenate(slots), np.concatenate(counts)) for slots, counts in merged)
+        for slots, local in zip(merged, block):
+            slots.append(local + start)
+    return tuple(np.concatenate(slots) for slots in merged)
 
 
 def histogram_from_counts(
     signal, idler, num_pulses: int, collapse: bool = True
 ) -> CoincidenceHistogram:
-    """Delay histogram of click pairs from each channel's (slots, counts).
+    """Delay histogram of click pairs from each channel's ascending slots,
+    one entry per detection.
 
     With collapse=True (the physical detectors) a slot contributes at most
     one click per channel; collapse=False counts every detection pair and
     can only be larger, bin by bin.
     """
-    slots_s, counts_s = signal
-    slots_i, counts_i = idler
+    if collapse:
+        signal, idler = _distinct(signal), _distinct(idler)
     window = COINCIDENCE_WINDOW
-    # Signal events within the window of each idler event: [first, last).
-    first = np.searchsorted(slots_s, slots_i - window)
-    last = np.searchsorted(slots_s, slots_i + window, side="right")
+    # Signal entries within the window of each idler entry: [first, last).
+    first = np.searchsorted(signal, idler - window)
+    last = np.searchsorted(signal, idler + window, side="right")
     per_idler = last - first
-    at_i = np.repeat(np.arange(len(slots_i)), per_idler)
+    at_i = np.repeat(np.arange(len(idler)), per_idler)
     at_s = np.arange(len(at_i)) + np.repeat(first - (np.cumsum(per_idler) - per_idler), per_idler)
-    # Float weights sum exactly: every partial sum is an integer below 2**53.
-    weights = None if collapse else counts_s[at_s] * counts_i[at_i]
-    binned = np.bincount(slots_i[at_i] - slots_s[at_s] + window, weights, 2 * window + 1)
+    binned = np.bincount(idler[at_i] - signal[at_s] + window, minlength=2 * window + 1)
     counts = {delay: int(binned[delay + window]) for delay in range(-window, window + 1)}
     delays = tuple(d for d in counts if d != 0)
     return CoincidenceHistogram(counts=counts, num_pulses=num_pulses, window_delays=delays)
 
 
-def _join(tail, events, start: int):
-    """One channel's tail followed by a block's events, shifted to start.
-
-    A later photon of the previous block may land in the block's first
-    slot; its count then merges into the block's event there, so each slot
-    stays one event.
-    """
-    (tail_slots, tail_counts), (slots, counts) = tail, events
-    slots = slots + start
-    if len(tail_slots) and len(slots) and tail_slots[-1] == slots[0]:
-        counts = counts.copy()
-        counts[0] += tail_counts[-1]
-        tail_slots, tail_counts = tail_slots[:-1], tail_counts[:-1]
-    return np.concatenate((tail_slots, slots)), np.concatenate((tail_counts, counts))
-
-
 def _fold_histogram(blocks, num_pulses: int, collapse: bool) -> CoincidenceHistogram:
-    """Delay histogram of a run from its (first slot, length, events) blocks.
+    """Delay histogram of a run from its (first slot, length, detections)
+    blocks.
 
-    The tail, each channel's events from COINCIDENCE_WINDOW slots before the
-    next block's first slot on, rides into the next block. Adding the
+    The tail, each channel's detections from COINCIDENCE_WINDOW slots before
+    the next block's first slot on, rides into the next block. Adding the
     histogram of tail + block and subtracting the tail's own counts every
-    pair within the block or across its leading edge exactly once. Both
-    counts are bilinear in the events, so a tail event whose count grows by
-    the merge in _join adds only its new pairs.
+    pair within the block or across its leading edge exactly once. A later
+    photon that spilled past the previous block is in the tail, and the
+    block may fill its slot too: joined, that slot simply appears more than
+    once, which both histograms read as one click or as several detections.
     """
     totals = dict.fromkeys(range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1), 0)
     empty = np.empty(0, dtype=np.int64)
-    tail = ((empty, empty), (empty, empty))
+    tail = (empty, empty)
     for start, length, block in blocks:
-        joined = [_join(channel_tail, events, start) for channel_tail, events in zip(tail, block)]
+        # One entry per clicked slot from here on, and the raw block is freed.
+        if collapse:
+            block = [_distinct(slots) for slots in block]
+        joined = [np.concatenate((t, slots + start)) for t, slots in zip(tail, block)]
         added = histogram_from_counts(*joined, length, collapse).counts
         counted = histogram_from_counts(*tail, 0, collapse).counts
         for delay in totals:
             totals[delay] += added[delay] - counted[delay]
         edge = start + length - COINCIDENCE_WINDOW
-        tail = [(slots[slots >= edge], counts[slots >= edge]) for slots, counts in joined]
+        tail = [slots[np.searchsorted(slots, edge) :] for slots in joined]
     delays = tuple(d for d in totals if d != 0)
     return CoincidenceHistogram(counts=totals, num_pulses=num_pulses, window_delays=delays)
 
