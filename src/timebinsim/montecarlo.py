@@ -21,16 +21,16 @@ and collapsed to a slot set. A channel's detections are one ascending slot
 array with one entry per detection, so a slot with k detections appears k
 times.
 
-Reproducibility contract: a run is cut into consecutive blocks of
-block_pulses(cfg, sectors) pulses, sized so that a block expects about
-EVENTS_PER_BLOCK draws of the run's stream means, within [BLOCK_PULSES,
-MAX_BLOCK_PULSES]. The size is a pure function of the config and the phase
-setting, and a Poisson process split at block edges leaves the blocks
-independent. Block b of sweep point p draws from default_rng((seed, b, p))
-and results are merged in block order. A single run is point 0, and
-SeedSequence pads its entropy with zeros, so its block b draws from
-default_rng((seed, b)). Output is a pure function of (config, seed, point)
-no matter how many workers execute the blocks.
+Reproducibility contract: every run enters through _run_blocks, which cuts
+it into consecutive blocks of block_pulses(cfg, sectors) pulses, sized so
+that a block expects about EVENTS_PER_BLOCK draws of the run's stream means
+(at least one pulse, at most MAX_BLOCK_PULSES). The size is a pure function
+of the config and the phase setting, and a Poisson process split at block
+edges leaves the blocks independent. Block b of sweep point p draws from
+default_rng((seed, b, p)) and results are merged in block order. A single
+run is point 0, and SeedSequence pads its entropy with zeros, so its block b
+draws from default_rng((seed, b)). Output is a pure function of (config,
+seed, point) no matter how many workers execute the blocks.
 
 The delay histogram is folded over the blocks as they arrive. Each
 channel's detections in the last COINCIDENCE_WINDOW slots are carried into
@@ -61,12 +61,11 @@ from .quantum import PhasePair, sector_probabilities
 
 # Accidental window: delays -3..+3 around the true-coincidence bin.
 COINCIDENCE_WINDOW = 3
-# A block is the unit of seeding and of parallel dispatch. It costs about
-# 5e-8 s per event, so a million events is ~50 ms of work, about what one
-# pool process costs to start.
+# Expected draws per block, the unit of seeding and of parallel dispatch, at
+# any density. At ~5e-8 s per event a million is ~50 ms of work, about what
+# one pool process costs to start.
 EVENTS_PER_BLOCK = 1_000_000
-# Smallest and largest block, in pulses.
-BLOCK_PULSES = 1_000_000
+# Largest block, in pulses; it bounds the peak memory of sparse runs.
 MAX_BLOCK_PULSES = 10**10
 
 
@@ -80,7 +79,11 @@ class CoincidenceHistogram:
 
     counts: dict[int, int]
     num_pulses: int
-    window_delays: tuple[int, ...]
+
+    @property
+    def window_delays(self) -> tuple[int, ...]:
+        """The accidental bins: every delay but 0."""
+        return tuple(d for d in self.counts if d != 0)
 
     @property
     def accidental_total(self) -> int:
@@ -126,18 +129,12 @@ def _stream_means(cfg: ExperimentConfig, sectors: tuple | None = None) -> tuple[
 
 def block_pulses(cfg: ExperimentConfig, sectors: tuple | None = None) -> int:
     """Pulses per block: about EVENTS_PER_BLOCK expected draws of the
-    streams _stream_means(cfg, sectors) gives, clamped to [BLOCK_PULSES,
-    MAX_BLOCK_PULSES]."""
+    streams _stream_means(cfg, sectors) gives, at least 1 and at most
+    MAX_BLOCK_PULSES."""
     rate = sum(_stream_means(cfg, sectors))
     if rate * MAX_BLOCK_PULSES <= EVENTS_PER_BLOCK:
         return MAX_BLOCK_PULSES
-    return max(BLOCK_PULSES, int(EVENTS_PER_BLOCK / rate))
-
-
-def _blocks(num_pulses: int, size: int) -> list[tuple[int, int]]:
-    """(block index, block length) partition of a run into blocks of size."""
-    starts = range(0, num_pulses, size)
-    return [(i, min(size, num_pulses - start)) for i, start in enumerate(starts)]
+    return max(1, int(EVENTS_PER_BLOCK / rate))
 
 
 def _dispatch(worker, args_list, workers: int):
@@ -164,20 +161,34 @@ def _dispatch(worker, args_list, workers: int):
             yield pending.popleft().result()
 
 
-def _run_blocks(cfg: ExperimentConfig, point: int, workers: int, sectors: tuple | None = None):
-    """(first slot, length, detections) of each block of one run, in order.
-    Block b draws the streams of _stream_means(cfg, sectors) from the key
-    (cfg.seed, b, point).
+def _run_blocks(
+    cfg: ExperimentConfig, point: int, workers: int, phases: PhasePair | None = None
+):
+    """(first slot, length, detections) of each block of one run, in order:
+    a histogram run without phases, a fringe point at phases with them.
+
+    The only way into a run: the config is checked, the blocks are sized
+    and block b draws the streams of _stream_means(cfg, sectors) from the
+    key (cfg.seed, b, point).
     """
+    require_valid(cfg)
+    if cfg.interferometers_present != (phases is not None):
+        raise ValueError(
+            "fringe runs require interferometers_present = True"
+            if phases is not None
+            else "histogram runs model the setup without interferometers"
+        )
+    sectors = None if phases is None else sector_probabilities(cfg.coherence_slots, phases)
     size = block_pulses(cfg, sectors)
-    blocks = _blocks(cfg.num_pulses, size)
     means = _stream_means(cfg, sectors)
-    args = [((cfg.seed, index, point), length, means) for index, length in blocks]
+    starts = range(0, cfg.num_pulses, size)
+    lengths = [min(size, cfg.num_pulses - start) for start in starts]
+    args = [((cfg.seed, b, point), length, means) for b, length in enumerate(lengths)]
     results = _dispatch(_block, args, workers)
     # The generator keeps no reference to a yielded block, so the caller can
     # free it before the next block is drawn.
-    for index, length in blocks:
-        yield index * size, length, next(results)
+    for start, length in zip(starts, lengths):
+        yield start, length, next(results)
 
 
 def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
@@ -216,19 +227,11 @@ def _block(args):
     return channels
 
 
-def _car_blocks(cfg: ExperimentConfig, point: int, workers: int):
-    """Blocks of a histogram run, as _run_blocks yields them."""
-    require_valid(cfg)
-    if cfg.interferometers_present:
-        raise ValueError("histogram runs model the setup without interferometers")
-    return _run_blocks(cfg, point, workers)
-
-
 def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
     """Detections of a histogram run: (signal, idler), each channel's
     ascending slots with one entry per detection."""
     merged = [], []
-    for start, _, block in _car_blocks(cfg, point, workers):
+    for start, _, block in _run_blocks(cfg, point, workers):
         for slots, local in zip(merged, block):
             slots.append(local + start)
     return tuple(np.concatenate(slots) for slots in merged)
@@ -255,8 +258,7 @@ def histogram_from_counts(
     at_s = np.arange(len(at_i)) + np.repeat(first - (np.cumsum(per_idler) - per_idler), per_idler)
     binned = np.bincount(idler[at_i] - signal[at_s] + window, minlength=2 * window + 1)
     counts = {delay: int(binned[delay + window]) for delay in range(-window, window + 1)}
-    delays = tuple(d for d in counts if d != 0)
-    return CoincidenceHistogram(counts=counts, num_pulses=num_pulses, window_delays=delays)
+    return CoincidenceHistogram(counts=counts, num_pulses=num_pulses)
 
 
 def _fold_histogram(blocks, num_pulses: int, collapse: bool) -> CoincidenceHistogram:
@@ -285,15 +287,14 @@ def _fold_histogram(blocks, num_pulses: int, collapse: bool) -> CoincidenceHisto
             totals[delay] += added[delay] - counted[delay]
         edge = start + length - COINCIDENCE_WINDOW
         tail = [slots[np.searchsorted(slots, edge) :] for slots in joined]
-    delays = tuple(d for d in totals if d != 0)
-    return CoincidenceHistogram(counts=totals, num_pulses=num_pulses, window_delays=delays)
+    return CoincidenceHistogram(counts=totals, num_pulses=num_pulses)
 
 
 def simulate_car_run(
     cfg: ExperimentConfig, workers: int = 1, *, point: int = 0
 ) -> CoincidenceHistogram:
     """Full histogram run at the config's pump power."""
-    return _fold_histogram(_car_blocks(cfg, point, workers), cfg.num_pulses, collapse=True)
+    return _fold_histogram(_run_blocks(cfg, point, workers), cfg.num_pulses, collapse=True)
 
 
 def estimate_car(hist: CoincidenceHistogram) -> CarEstimate:
@@ -322,9 +323,5 @@ def simulate_fringe_run(
 ) -> int:
     """Delay-0 coincidence count at one phase setting over cfg.num_pulses:
     the delay-0 bin of the run's folded histogram."""
-    require_valid(cfg)
-    if not cfg.interferometers_present:
-        raise ValueError("fringe runs require interferometers_present = True")
-    sectors = sector_probabilities(cfg.coherence_slots, phases)
-    blocks = _run_blocks(cfg, point, workers, sectors)
+    blocks = _run_blocks(cfg, point, workers, phases)
     return _fold_histogram(blocks, cfg.num_pulses, collapse=True).counts[0]

@@ -23,6 +23,7 @@ from timebinsim import (
     pump_power_for_mu,
     sector_probabilities,
 )
+from timebinsim.montecarlo import block_pulses
 
 
 def lossless_channel(ch: ChannelParams, dark_rate_hz: float | None = None) -> ChannelParams:
@@ -70,6 +71,13 @@ def pairs_only_config(
         coherence_slots=n_slots,
         interferometers_present=True,
     )
+
+
+def num_blocks(cfg: ExperimentConfig, phases: PhasePair | None = None) -> int:
+    """Blocks a run of cfg is cut into: a histogram run without phases, a
+    fringe point at phases with them."""
+    sectors = None if phases is None else sector_probabilities(cfg.coherence_slots, phases)
+    return -(-cfg.num_pulses // block_pulses(cfg, sectors))
 
 
 def threshold_bin_probabilities(

@@ -10,8 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import lossless_config, pairs_only_config
-from timebinsim import __version__, config_to_dict, default_config
+from conftest import lossless_config, num_blocks, pairs_only_config
+from timebinsim import PhasePair, __version__, config_to_dict, default_config
 from timebinsim.cli import main
 
 # Closed-form anchors at the baseline operating point, symmetrized
@@ -128,17 +128,21 @@ class TestMcCar:
             assert b"\r" not in (out / name).read_bytes()
 
     def test_rerun_and_workers_are_byte_identical(self, tmp_path):
-        cfg_path = write_config(tmp_path, boosted_config())
-        outs = [tmp_path / f"out{k}" for k in range(3)]
-        assert main(["mc-car", "--config", cfg_path, "--out-dir", str(outs[0])]) == 0
-        assert main(["mc-car", "--config", cfg_path, "--out-dir", str(outs[1])]) == 0
-        assert main([
-            "mc-car", "--config", cfg_path, "--out-dir", str(outs[2]), "--workers", "2",
-        ]) == 0
-        for name in ("histogram.csv", "car.json", "manifest.json"):
-            first = (outs[0] / name).read_bytes()
-            assert (outs[1] / name).read_bytes() == first
-            assert (outs[2] / name).read_bytes() == first
+        # One block, and a run of three whose blocks go to a real pool.
+        multi_block = lossless_config(0.5, 3_000_000)
+        assert num_blocks(multi_block) >= 3
+        for run, cfg in enumerate((boosted_config(), multi_block)):
+            cfg_path = write_config(tmp_path, cfg, f"config{run}.json")
+            outs = [tmp_path / f"run{run}-out{k}" for k in range(3)]
+            assert main(["mc-car", "--config", cfg_path, "--out-dir", str(outs[0])]) == 0
+            assert main(["mc-car", "--config", cfg_path, "--out-dir", str(outs[1])]) == 0
+            assert main([
+                "mc-car", "--config", cfg_path, "--out-dir", str(outs[2]), "--workers", "2",
+            ]) == 0
+            for name in ("histogram.csv", "car.json", "manifest.json"):
+                first = (outs[0] / name).read_bytes()
+                assert (outs[1] / name).read_bytes() == first
+                assert (outs[2] / name).read_bytes() == first
 
     def test_seed_flag_equals_config_seed(self, tmp_path):
         via_flag = write_config(tmp_path, boosted_config(seed=5), "a.json")
@@ -246,13 +250,21 @@ class TestMcFringe:
         assert manifest["outputs"] == ["fringe.csv", "fringe_fit.json"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        cfg_path = self.fringe_config(tmp_path)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        args = ["mc-fringe", "--config", cfg_path, "--steps", "6"]
-        assert main(args + ["--out-dir", str(out_a)]) == 0
-        assert main(args + ["--out-dir", str(out_b), "--workers", "2"]) == 0
-        for name in ("fringe.csv", "fringe_fit.json", "manifest.json"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        # One block per point, and points of three or more blocks each, with
+        # darks near 0.3 per slot making the blocks short.
+        multi_block = lossless_config(0.05, 3_000_000, dark_rate_hz=3e8, interferometers=True)
+        for k in range(4):
+            assert num_blocks(multi_block, PhasePair(2 * math.pi * k / 4, 0.0)) >= 3
+        for run, (cfg_path, steps) in enumerate((
+            (self.fringe_config(tmp_path), "6"),
+            (write_config(tmp_path, multi_block, "multi.json"), "4"),
+        )):
+            out_a, out_b = tmp_path / f"a{run}", tmp_path / f"b{run}"
+            args = ["mc-fringe", "--config", cfg_path, "--steps", steps]
+            assert main(args + ["--out-dir", str(out_a)]) == 0
+            assert main(args + ["--out-dir", str(out_b), "--workers", "2"]) == 0
+            for name in ("fringe.csv", "fringe_fit.json", "manifest.json"):
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_too_few_steps_refused_before_running(self, tmp_path, capsys):
         out = tmp_path / "never"

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import lossless_config, pairs_only_config, threshold_bin_probabilities
+from conftest import lossless_config, num_blocks, pairs_only_config, threshold_bin_probabilities
 import timebinsim
 from timebinsim import montecarlo
 from timebinsim import (
@@ -26,7 +26,6 @@ from timebinsim import (
     simulate_fringe_run,
 )
 from timebinsim.montecarlo import (
-    BLOCK_PULSES,
     COINCIDENCE_WINDOW,
     EVENTS_PER_BLOCK,
     MAX_BLOCK_PULSES,
@@ -34,7 +33,6 @@ from timebinsim.montecarlo import (
     block_pulses,
     detected_counts,
     histogram_from_counts,
-    _blocks,
 )
 from timebinsim.params import SourceParams
 
@@ -61,11 +59,15 @@ def events_of(counts):
 
 
 class TestBlocks:
-    def test_partition(self):
-        size = block_pulses(lossless_config(4e-3, 1))
-        assert _blocks(2 * size + 17, size) == [(0, size), (1, size), (2, 17)]
-        assert _blocks(size, size) == [(0, size)]
-        assert _blocks(999, size) == [(0, 999)]
+    def test_partition(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
+        for pulses, partition in (
+            (2 * 40 + 17, [(0, 40), (40, 40), (80, 17)]),
+            (40, [(0, 40)]),
+            (39, [(0, 39)]),
+        ):
+            blocks = montecarlo._run_blocks(lossless_config(4e-3, pulses), 0, 1)
+            assert [(start, length) for start, length, _ in blocks] == partition
 
     def test_size_is_expected_events_over_draws_per_slot(self):
         # Darks only: the two dark streams draw -log(1 - d) per slot each.
@@ -86,7 +88,11 @@ class TestBlocks:
 
     def test_size_is_clamped(self):
         assert block_pulses(default_config()) == MAX_BLOCK_PULSES
-        assert block_pulses(lossless_config(1.0, 1)) == BLOCK_PULSES
+        # Above one draw per slot a block is shorter than a million pulses,
+        # and above EVENTS_PER_BLOCK draws per slot it is a single pulse.
+        assert block_pulses(lossless_config(1.0, 1)) == 764_218
+        crowded = replace(pairs_only_config(2e6, 5, 1), interferometers_present=False)
+        assert block_pulses(crowded) == 1
         dead = lossless_config(4e-3, 1, dark_rate_hz=0.0)
         dead = replace(dead, source=replace(dead.source, peak_power_w=0.0))
         assert block_pulses(dead) == MAX_BLOCK_PULSES
@@ -158,8 +164,9 @@ class TestReproducibility:
         assert simulate_car_run(cfg).counts == simulate_car_run(cfg).counts
 
     def test_worker_count_is_invisible(self):
-        # Spans multiple blocks so parallel dispatch actually happens.
-        cfg = lossless_config(4e-3, 2 * BLOCK_PULSES + 50_000)
+        # One block, so no pool starts; the multi-block contract is the
+        # *_across_blocks pair below.
+        cfg = lossless_config(4e-3, 2_050_000)
         serial = simulate_car_run(cfg, workers=1)
         parallel = simulate_car_run(cfg, workers=3)
         assert serial.counts == parallel.counts
@@ -170,7 +177,8 @@ class TestReproducibility:
         assert a.counts != b.counts
 
     def test_fringe_worker_count_is_invisible(self):
-        cfg = pairs_only_config(4e-3, 1000, BLOCK_PULSES + 300_000)
+        # One block, like test_worker_count_is_invisible.
+        cfg = pairs_only_config(4e-3, 1000, 1_300_000)
         phases = PhasePair(0.3, 0.2)
         assert simulate_fringe_run(cfg, phases, workers=1) == simulate_fringe_run(
             cfg, phases, workers=2
@@ -178,15 +186,14 @@ class TestReproducibility:
 
     def test_worker_count_is_invisible_across_blocks(self):
         cfg = lossless_config(0.5, 3_000_000)
-        assert len(_blocks(cfg.num_pulses, block_pulses(cfg))) >= 3
+        assert num_blocks(cfg) >= 3
         assert simulate_car_run(cfg, workers=1) == simulate_car_run(cfg, workers=2)
 
     def test_fringe_worker_count_is_invisible_across_blocks(self):
         # Darks near 0.3 per slot make the blocks short.
         cfg = lossless_config(0.05, 3_000_000, dark_rate_hz=3e8, interferometers=True)
         phases = PhasePair(0.3, 0.2)
-        sectors = sector_probabilities(cfg.coherence_slots, phases)
-        assert len(_blocks(cfg.num_pulses, block_pulses(cfg, sectors))) >= 3
+        assert num_blocks(cfg, phases) >= 3
         assert simulate_fringe_run(cfg, phases, workers=1) == simulate_fringe_run(
             cfg, phases, workers=2
         )
@@ -213,17 +220,24 @@ class TestReproducibility:
     def test_streams_are_pinned(self):
         # Counts recorded at 0.6.0: the delay histograms mc-car writes to
         # histogram.csv for a one-block and a three-block run, and one fringe
-        # point. They change only together with __version__, since a change
-        # to the random streams bumps the version.
-        assert timebinsim.__version__ == "0.6.0"
+        # point; and at 0.7.0, a run above one draw per slot, whose blocks
+        # are shorter than a million pulses. They change only together with
+        # __version__, since a change to the random streams bumps the
+        # version.
+        assert timebinsim.__version__ == "0.7.0"
         one_block = lossless_config(1e-2, 500_000, seed=123, dark_rate_hz=1e6)
         three_blocks = lossless_config(0.5, 3_000_000, seed=456)
-        assert len(_blocks(three_blocks.num_pulses, block_pulses(three_blocks))) == 3
+        dense = lossless_config(1.0, 2_000_000, seed=654)
+        assert num_blocks(three_blocks) == 3
+        assert num_blocks(dense) == 3
         assert simulate_car_run(one_block).counts == {
             -3: 67, -2: 74, -1: 46, 0: 376, 1: 49, 2: 71, 3: 65
         }
         assert simulate_car_run(three_blocks).counts == {
             -3: 463412, -2: 463944, -1: 463956, 0: 846831, 1: 464363, 2: 463900, 3: 464167
+        }
+        assert simulate_car_run(dense).counts == {
+            -3: 798623, -2: 798531, -1: 798914, 0: 1068308, 1: 798624, 2: 798553, 3: 798281
         }
         fringe_cfg = lossless_config(0.05, 500_000, seed=789, dark_rate_hz=1e6, interferometers=True)
         assert simulate_fringe_run(fringe_cfg, PhasePair(0.3, 0.2)) == 1485
@@ -338,7 +352,7 @@ class TestHistogram:
         for slots in (signal, idler):
             assert {0, 1, 2, 37, 38, 39} <= set((slots % 40).tolist())
         whole = histogram_from_counts(signal, idler, cfg.num_pulses, collapse=collapse)
-        blocks = montecarlo._car_blocks(cfg, 0, 1)
+        blocks = montecarlo._run_blocks(cfg, 0, 1)
         assert montecarlo._fold_histogram(blocks, cfg.num_pulses, collapse) == whole
         if collapse:
             assert simulate_car_run(cfg) == whole
@@ -362,17 +376,16 @@ class TestEstimateCar:
         hist = CoincidenceHistogram(
             counts={0: 870, 1: 100, -1: 100, 2: 100, -2: 100, 3: 100, -3: 100},
             num_pulses=10**6,
-            window_delays=(-3, -2, -1, 1, 2, 3),
         )
         est = estimate_car(hist)
         assert est.car == pytest.approx(8.7, rel=1e-12)
         assert est.stderr == pytest.approx(8.7 * math.sqrt(1 / 870 + 1 / 600), rel=1e-12)
 
     def test_empty_bins_raise(self):
-        empty = CoincidenceHistogram(counts={0: 0, 1: 0}, num_pulses=10, window_delays=(1,))
+        empty = CoincidenceHistogram(counts={0: 0, 1: 0}, num_pulses=10)
         with pytest.raises(InsufficientStatisticsError):
             estimate_car(empty)
-        no_zero = CoincidenceHistogram(counts={1: 5}, num_pulses=10, window_delays=(1,))
+        no_zero = CoincidenceHistogram(counts={1: 5}, num_pulses=10)
         with pytest.raises(InsufficientStatisticsError):
             estimate_car(no_zero)
 
@@ -468,12 +481,11 @@ class TestFringeRun:
         # multi-pair accidentals everywhere and the one-slot-apart pairs at
         # +-1, summed over 40 seeds, each bin within 4 sigma.
         phases = PhasePair(1.0, 0.3)
-        sectors = sector_probabilities(cfg.coherence_slots, phases)
         p = threshold_bin_probabilities(cfg, phases)
         n, runs = cfg.num_pulses, 40
         totals = dict.fromkeys(p, 0)
         for k in range(runs):
-            blocks = montecarlo._run_blocks(replace(cfg, seed=60_000 + k), 0, 1, sectors)
+            blocks = montecarlo._run_blocks(replace(cfg, seed=60_000 + k), 0, 1, phases)
             for delay, count in montecarlo._fold_histogram(blocks, n, True).counts.items():
                 totals[delay] += count
         for delay, count in totals.items():
@@ -486,23 +498,26 @@ class TestFringeRun:
         with pytest.raises(ValueError, match="interferometers_present"):
             simulate_fringe_run(cfg, PhasePair(0.0, 0.0))
 
-    def test_pair_across_block_edge_counted_once(self, monkeypatch):
-        # Blocks of 20 slots at 8 pairs per pulse: one-slot-apart pairs put
-        # their later photon one slot past their block, into a slot the next
-        # block fills too. The fold must count that slot as one click, or
-        # every detection in it uncollapsed, on any worker count, and equal
-        # the histogram of the whole run's detections.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 20)
+    @pytest.mark.parametrize("size", [1, 2, 3, 20])
+    def test_pair_across_block_edge_counted_once(self, monkeypatch, size):
+        # Blocks of `size` slots at 8 pairs per pulse: one-slot-apart pairs
+        # put their later photon one slot past their block, into a slot the
+        # next block fills too. Blocks shorter than COINCIDENCE_WINDOW leave
+        # detections of several earlier blocks in the tail. The fold must
+        # count a shared slot as one click, or every detection in it
+        # uncollapsed, on any worker count, and equal the histogram of the
+        # whole run's detections.
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: size)
         cfg = pairs_only_config(8.0, 5, 10 * 20 + 3)
-        sectors = sector_probabilities(5, PhasePair(0.6, 0.0))
-        blocks = list(montecarlo._run_blocks(cfg, 0, 1, sectors))
-        assert len(blocks) == 11
+        phases = PhasePair(0.6, 0.0)
+        blocks = list(montecarlo._run_blocks(cfg, 0, 1, phases))
+        assert len(blocks) == -(-cfg.num_pulses // size)
         assert any(slots[-1] == length for _, length, block in blocks for slots in block)
         whole = [
             np.sort(np.concatenate([block[channel] + start for start, _, block in blocks]))
             for channel in range(2)
         ]
-        parallel = list(montecarlo._run_blocks(cfg, 0, 2, sectors))
+        parallel = list(montecarlo._run_blocks(cfg, 0, 2, phases))
         for collapse in (True, False):
             folded = montecarlo._fold_histogram(blocks, cfg.num_pulses, collapse)
             assert folded == histogram_from_counts(*whole, cfg.num_pulses, collapse)
