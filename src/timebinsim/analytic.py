@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .params import SourceParams
+from .quantum import ideal_visibility
 
 
 @dataclass(frozen=True)
@@ -142,18 +143,19 @@ def predicted_visibility(
 
         V = (n-1)/n * C / (C + 2 A)
 
+    where (n-1)/n is the edge-slot cap of quantum.ideal_visibility.
+
     The alphas here exclude the 1/2 post-selection (it is explicit in the
     formula) but include any interferometer excess loss.
     """
-    if n_slots < 2:
-        raise ValueError(f"n_slots must be >= 2, got {n_slots}")
+    edge_cap = ideal_visibility(n_slots)
     c = stats.mu_pairs * alpha_signal * alpha_idler / 4.0
     a_acc = (stats.mu_channel_signal * alpha_signal / 2.0 + dark_signal) * (
         stats.mu_channel_idler * alpha_idler / 2.0 + dark_idler
     )
     if c + 2.0 * a_acc <= 0.0:
         raise ValueError("no coincidences at all: visibility undefined")
-    return (n_slots - 1) / n_slots * c / (c + 2.0 * a_acc)
+    return edge_cap * c / (c + 2.0 * a_acc)
 
 
 def estimate_gamma(pair_coeff: float, device_length_m: float) -> float:

@@ -245,18 +245,23 @@ def histogram_from_counts(
 
     With collapse=True (the physical detectors) a slot contributes at most
     one click per channel; collapse=False counts every detection pair and
-    can only be larger, bin by bin.
+    can only be larger, bin by bin. The windows are walked, not listed:
+    pass k bins every idler entry against the k-th signal entry of its
+    window and drops the entries whose window is spent, so memory is
+    O(entries) and the passes are as many as the fullest window's entries.
     """
     if collapse:
         signal, idler = _distinct(signal), _distinct(idler)
     window = COINCIDENCE_WINDOW
-    # Signal entries within the window of each idler entry: [first, last).
-    first = np.searchsorted(signal, idler - window)
+    # Signal entries within the window of each idler entry: [at, last).
+    at = np.searchsorted(signal, idler - window)
     last = np.searchsorted(signal, idler + window, side="right")
-    per_idler = last - first
-    at_i = np.repeat(np.arange(len(idler)), per_idler)
-    at_s = np.arange(len(at_i)) + np.repeat(first - (np.cumsum(per_idler) - per_idler), per_idler)
-    binned = np.bincount(idler[at_i] - signal[at_s] + window, minlength=2 * window + 1)
+    binned = np.zeros(2 * window + 1, dtype=np.int64)
+    while len(idler):
+        live = at < last
+        idler, at, last = idler[live], at[live], last[live]
+        binned += np.bincount(idler - signal[at] + window, minlength=2 * window + 1)
+        at += 1
     counts = {delay: int(binned[delay + window]) for delay in range(-window, window + 1)}
     return CoincidenceHistogram(counts=counts, num_pulses=num_pulses)
 

@@ -13,8 +13,9 @@ photon routed to the discarded port is tracked as its own outcome rather
 than renormalized away (50% post-selection per photon).
 
 After one map per mode, amp[j, k] (signal in slot j, idler in slot k) is
-non-zero only for |j - k| <= 1, so the state is held as those three bands:
-O(n) memory and work, where a dense array would need O(n^2).
+non-zero only for |j - k| <= 1, so the state is held as those three bands.
+The envelope is uniform, so each band is a few runs of equal amplitude:
+O(1) memory and work in n, where a dense array would need O(n^2).
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 Taps = tuple[complex, complex]
+# A band as runs of (amplitude, slot count), in slot order.
+Band = tuple[tuple[complex, int], ...]
 
 
 @dataclass(frozen=True)
@@ -42,28 +43,30 @@ def _taps(phase: float, kept: bool = True) -> Taps:
     return 0.5, delayed if kept else -delayed
 
 
-def _bands(n_slots: int, signal: Taps, idler: Taps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bands(n_slots: int, signal: Taps, idler: Taps) -> tuple[Band, Band, Band]:
     """Amplitude bands of the n-slot pair state after one map per mode.
 
     Returns (matched, signal_first, idler_first): amp[j, j] over the n+1
     output slots (the delayed path spills one slot past the window), and
-    amp[j, j+1] and amp[j+1, j] over n slots each. Needs at least two slots
-    to carry any entanglement.
+    amp[j, j+1] and amp[j+1, j] over n slots each. The envelope is uniform,
+    so each band is held as runs of (amplitude, slot count): the matched
+    band differs only in its two edge slots, each fed by a single path.
+    Needs at least two slots to carry any entanglement.
     """
     if n_slots < 2:
         raise ValueError(f"n_slots must be >= 2, got {n_slots}")
     c = 1.0 / math.sqrt(n_slots)
     (s_direct, s_delayed), (i_direct, i_delayed) = signal, idler
-    matched = np.zeros(n_slots + 1, dtype=complex)
-    matched[:-1] += c * s_direct * i_direct
-    matched[1:] += c * s_delayed * i_delayed
-    signal_first = np.full(n_slots, c * s_direct * i_delayed)
-    idler_first = np.full(n_slots, c * s_delayed * i_direct)
+    direct = c * s_direct * i_direct
+    delayed = c * s_delayed * i_delayed
+    matched = ((direct, 1), (direct + delayed, n_slots - 1), (delayed, 1))
+    signal_first = ((c * s_direct * i_delayed, n_slots),)
+    idler_first = ((c * s_delayed * i_direct, n_slots),)
     return matched, signal_first, idler_first
 
 
-def _norm(*bands: np.ndarray) -> float:
-    return sum(float(np.vdot(band, band).real) for band in bands)
+def _norm(*bands: Band) -> float:
+    return sum(count * abs(amp) ** 2 for band in bands for amp, count in band)
 
 
 def fringe(n_slots: int, phases: PhasePair) -> float:

@@ -266,6 +266,17 @@ class TestMcFringe:
             for name in ("fringe.csv", "fringe_fit.json", "manifest.json"):
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_long_coherence_window_runs(self, tmp_path):
+        # No amplitude array grows with the coherence window, so a
+        # 10**15-slot window is as cheap as a 5-slot one.
+        cfg = pairs_only_config(0.05, 10**15, 20_000, seed=71_003)
+        out = tmp_path / "out"
+        assert main([
+            "mc-fringe", "--config", write_config(tmp_path, cfg), "--out-dir", str(out),
+            "--steps", "4",
+        ]) == 0
+        assert len(read_rows(out / "fringe.csv")) == 4
+
     def test_too_few_steps_refused_before_running(self, tmp_path, capsys):
         out = tmp_path / "never"
         assert main(["mc-fringe", "--out-dir", str(out), "--steps", "3"]) == 1

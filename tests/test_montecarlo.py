@@ -357,6 +357,21 @@ class TestHistogram:
         if collapse:
             assert simulate_car_run(cfg) == whole
 
+    @pytest.mark.parametrize("collapse", [True, False])
+    def test_memory_scales_with_entries(self, collapse):
+        # ~7.6e5 detections per channel at a channel mean of 1, each inside
+        # the windows of about seven others uncollapsed: a list of every
+        # pair would take ~200 MiB, the entries themselves ~6 MiB a channel.
+        cfg = lossless_config(1.0, 2_000_000, seed=654)
+        _, length, block = next(montecarlo._run_blocks(cfg, 0, 1))
+        tracemalloc.start()
+        try:
+            histogram_from_counts(*block, length, collapse=collapse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
     def test_collapse_bounds_multiphoton_bins(self):
         # At half a pair per pulse, double emissions are common; the
         # collapsed histogram must sit strictly below the raw one at
