@@ -23,8 +23,6 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analytic import (
     PairStatistics,
@@ -120,6 +118,22 @@ def _parse_phase(token: str) -> float:
     return _finite_float(token)
 
 
+def _linspace(start: float, stop: float, steps: int) -> list[float]:
+    """numpy.linspace(start, stop, steps), float for float: start + k*step,
+    the last value set to stop."""
+    if steps == 1:
+        return [start]
+    div = steps - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:  # numpy's path for a delta too small to divide
+        values = [k / div * delta + start for k in range(steps)]
+    else:
+        values = [k * step + start for k in range(steps)]
+    values[-1] = stop
+    return values
+
+
 def _prepare(ns) -> tuple[ExperimentConfig, Path]:
     cfg = load_config(ns.config)
     if getattr(ns, "seed", None) is not None:
@@ -145,7 +159,7 @@ def cmd_analytic(ns) -> int:
         raise ValueError("--steps must be >= 1")
     if ns.start <= 0 or ns.stop <= 0:
         raise ValueError("sweep range must be positive")
-    values = np.linspace(ns.start, ns.stop, ns.steps)
+    values = _linspace(ns.start, ns.stop, ns.steps)
 
     src = cfg.source
     alpha_sym, dark_mean = symmetrized_detection(cfg)
@@ -250,8 +264,8 @@ def cmd_mc_fringe(ns) -> int:
     return status
 
 
-def _read_csv_columns(path: str, required: list[str]) -> dict[str, np.ndarray]:
-    """The required columns as float arrays; every cell must be finite."""
+def _read_csv_columns(path: str, required: list[str]) -> dict[str, list[float]]:
+    """The required columns as float lists; every cell must be finite."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
@@ -269,7 +283,7 @@ def _read_csv_columns(path: str, required: list[str]) -> dict[str, np.ndarray]:
                     raise ValueError(f"{path}: row {reader.line_num}, column {c}: {exc}") from None
     if not columns[required[0]]:
         raise ValueError(f"{path}: no data rows")
-    return {c: np.array(values) for c, values in columns.items()}
+    return columns
 
 
 def cmd_fit(ns) -> int:

@@ -5,16 +5,23 @@ The fringe fit is deliberately linear. A sinusoid with unknown amplitude,
 phase and offset is y = A + B cos(phi) + C sin(phi), so weighted normal
 equations solve it exactly in one step; no iterative optimizer, no starting
 guess, no convergence question.
+
+The fits run on the standard library. The normal equations are summed with
+math.fsum, then solved and inverted exactly in rationals, and the
+visibility is rounded once from the exact solution. So a fit is a pure
+function of its input floats: it does not depend on which BLAS kernel
+(OpenBLAS picks one per CPU at run time under DYNAMIC_ARCH) numpy would
+have used, and exact V = 1 data are not clamped by a rounding error one ulp
+above 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import atan2, sqrt
+from fractions import Fraction
+from math import atan2, cos, fsum, hypot, isfinite, isqrt, pi, sin
 
-import numpy as np
-
-from .analytic import PairStatistics, car_closed_form, pump_power_for_mu
+from .analytic import car_closed_form, pump_power_for_mu
 from .montecarlo import CarEstimate, estimate_car, simulate_car_run
 from .params import ExperimentConfig, symmetrized_detection
 
@@ -59,6 +66,50 @@ class CarCurveRow:
     car_stderr: float
 
 
+def _vectors(names: str, *columns) -> list[list[float]]:
+    """The columns as lists of floats: 1-d, of one length and finite, or a
+    one-line ValueError naming them."""
+    try:
+        lists = [[float(v) for v in c] for c in columns if getattr(c, "ndim", 1) == 1]
+    except (TypeError, ValueError):  # ragged or non-numeric input
+        lists = []
+    if len(lists) != len(columns) or len({len(v) for v in lists}) != 1:
+        raise ValueError(f"{names} must be 1-d arrays of equal length")
+    if not all(isfinite(v) for c in lists for v in c):
+        raise ValueError(f"{names} must be finite")
+    return lists
+
+
+def _sqrt(x: Fraction) -> float:
+    """Correctly rounded square root of a non-negative rational.
+
+    The integer root carries at least 59 bits, and an inexact one is made
+    odd, so rounding it to a float once rounds the true root correctly.
+    """
+    num, den = x.numerator, x.denominator
+    shift = max(0, (den.bit_length() - num.bit_length()) // 2 + 60)
+    scaled, rest = divmod(num << 2 * shift, den)
+    root = isqrt(scaled)
+    if rest or root * root != scaled:
+        root |= 1
+    return root / (1 << shift)
+
+
+def _solve(normal, rhs):
+    """Exact solution and inverse of a symmetric 3x3 system (rationals)."""
+    (a, b, c), (_, e, f), (_, _, i) = normal
+    adj = (
+        (e * i - f * f, c * f - b * i, b * f - c * e),
+        (c * f - b * i, a * i - c * c, b * c - a * f),
+        (b * f - c * e, b * c - a * f, a * e - b * b),
+    )
+    det = a * adj[0][0] + b * adj[0][1] + c * adj[0][2]
+    if det == 0:
+        raise ValueError("phase samples do not determine the fringe: singular normal equations")
+    inverse = [[entry / det for entry in row] for row in adj]
+    return [sum(m * v for m, v in zip(row, rhs)) for row in inverse], inverse
+
+
 def fit_fringe(phases, counts) -> FringeFit:
     """Fit counts(phi) = A (1 + V cos(phi + phi0)) by exact linear solve.
 
@@ -66,50 +117,50 @@ def fit_fringe(phases, counts) -> FringeFit:
     stay usable). Needs at least 4 samples spanning more than pi: with less
     coverage the three coefficients are degenerate or nearly so.
     """
-    phi = np.asarray(phases, dtype=float)
-    y = np.asarray(counts, dtype=float)
-    if phi.shape != y.shape or phi.ndim != 1:
-        raise ValueError("phases and counts must be 1-d arrays of equal length")
+    phi, y = _vectors("phases and counts", phases, counts)
     if len(phi) < 4:
         raise ValueError(f"need at least 4 phase samples, got {len(phi)}")
-    if np.ptp(phi) <= np.pi:
+    if max(phi) - min(phi) <= pi:
         raise ValueError("phase samples must span more than pi")
-    if np.any(y < 0):
+    if any(v < 0 for v in y):
         raise ValueError("counts must be non-negative")
 
-    design = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
-    weights = 1.0 / np.maximum(y, 1.0)
-    xtw = design.T * weights
-    normal = xtw @ design
-    coeffs = np.linalg.solve(normal, xtw @ y)
-    level, b_cos, c_sin = coeffs
-    if level <= 0:
-        raise ValueError(f"fitted mean level {level:.3g} <= 0: no signal to normalize by")
+    design = [(1.0, cos(p), sin(p)) for p in phi]
+    weights = [1.0 / max(v, 1.0) for v in y]
+    columns = list(zip(*design))
+    normal = [
+        [Fraction(fsum(w * xj * xk for w, xj, xk in zip(weights, cj, ck))) for ck in columns]
+        for cj in columns
+    ]
+    rhs = [Fraction(fsum(w * xj * v for w, xj, v in zip(weights, cj, y))) for cj in columns]
+    # Weights are inverse Poisson variances, so the normal-equation inverse
+    # is the coefficient covariance directly.
+    (level_q, b_q, c_q), cov = _solve(normal, rhs)
+    if level_q <= 0:
+        raise ValueError(f"fitted mean level {float(level_q):.3g} <= 0: no signal to normalize by")
 
-    amplitude = sqrt(b_cos**2 + c_sin**2)
-    visibility = float(amplitude / level)
+    level, b_cos, c_sin = float(level_q), float(b_q), float(c_q)
+    amplitude = _sqrt(b_q**2 + c_q**2)
+    visibility = _sqrt((b_q**2 + c_q**2) / level_q**2)
     clamped = visibility > 1.0
     if clamped:
         visibility = 1.0
 
-    # Weights are inverse Poisson variances, so the normal-equation inverse
-    # is the coefficient covariance directly.
-    cov = np.linalg.inv(normal)
     if amplitude > 0:
-        grad = np.array(
-            [-amplitude / level**2, b_cos / (amplitude * level), c_sin / (amplitude * level)]
-        )
+        grad = (-amplitude / level**2, b_cos / (amplitude * level), c_sin / (amplitude * level))
     else:
-        grad = np.array([0.0, 1.0 / level, 1.0 / level])
-    visibility_error = float(sqrt(max(grad @ cov @ grad, 0.0)))
+        grad = (0.0, 1.0 / level, 1.0 / level)
+    grad = [Fraction(g) for g in grad]
+    variance = sum(gj * cov[j][k] * gk for j, gj in enumerate(grad) for k, gk in enumerate(grad))
+    visibility_error = _sqrt(max(variance, 0))
 
-    residual = y - design @ coeffs
+    residual = [v - (level + b_cos * xc + c_sin * xs) for v, (_, xc, xs) in zip(y, design)]
     return FringeFit(
-        visibility=float(visibility),
+        visibility=visibility,
         phase_offset=atan2(-c_sin, b_cos),
-        mean_level=float(level),
+        mean_level=level,
         visibility_error=visibility_error,
-        residual_norm=float(np.linalg.norm(residual)),
+        residual_norm=hypot(*residual),
         clamped=clamped,
     )
 
@@ -121,20 +172,18 @@ def proportional_fit(x, y) -> tuple[float, float, float]:
     so a wrong power law shows up as a visibly poorer r2 even when the
     slope itself converges.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
+    x, y = _vectors("x and y", x, y)
     if len(x) < 3:
         raise ValueError(f"need at least 3 points, got {len(x)}")
-    sxx = float(np.dot(x, x))
+    sxx = fsum(v * v for v in x)
     if sxx == 0.0:
         raise ValueError("all x are zero: slope undefined")
-    k = float(np.dot(x, y)) / sxx
-    resid = y - k * x
-    var = float(np.dot(resid, resid)) / (len(x) - 1) / sxx
-    sstot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - float(np.dot(resid, resid)) / sstot if sstot > 0 else 1.0
+    k = fsum(u * v for u, v in zip(x, y)) / sxx
+    sse = fsum((v - k * u) ** 2 for u, v in zip(x, y))
+    var = sse / (len(x) - 1) / sxx
+    mean = fsum(y) / len(y)
+    sstot = fsum((v - mean) ** 2 for v in y)
+    r2 = 1.0 - sse / sstot if sstot > 0 else 1.0
     return k, var, r2
 
 
@@ -151,14 +200,16 @@ def fit_scaling(
     pair_coeff from mu = a p^2 F; each noise series determines its
     noise_coeff from mu = b p F.
     """
-    p = np.asarray(power_w, dtype=float)
-    if np.any(p <= 0):
+    (p,) = _vectors("power_w", power_w)
+    if any(v <= 0 for v in p):
         raise ValueError("powers must be positive")
     if bandwidth_time_product <= 0:
         raise ValueError("bandwidth_time_product must be positive")
-    a_hat, a_var, r2_a = proportional_fit(p**2 * bandwidth_time_product, mu_pairs)
-    bs_hat, bs_var, r2_s = proportional_fit(p * bandwidth_time_product, mu_noise_signal)
-    bi_hat, bi_var, r2_i = proportional_fit(p * bandwidth_time_product, mu_noise_idler)
+    pair_x = [v**2 * bandwidth_time_product for v in p]
+    noise_x = [v * bandwidth_time_product for v in p]
+    a_hat, a_var, r2_a = proportional_fit(pair_x, mu_pairs)
+    bs_hat, bs_var, r2_s = proportional_fit(noise_x, mu_noise_signal)
+    bi_hat, bi_var, r2_i = proportional_fit(noise_x, mu_noise_idler)
     return ScalingFit(
         pair_coeff_hat=a_hat,
         pair_coeff_var=a_var,

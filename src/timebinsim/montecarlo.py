@@ -39,6 +39,10 @@ run-length detection list is held: memory is O(detections per block). The
 later photon of a pair seen one slot apart can land one slot past its
 block, where it is one more entry of a slot the next block may fill too.
 
+numpy is imported inside the functions that draw and bin, so importing this
+module, and every command that samples nothing, runs on the standard
+library.
+
 Detectors are threshold detectors: any number of photons in one slot
 collapses to a single click, so the recorded histogram needs only the
 distinct slots. The uncollapsed histogram, which counts every detection
@@ -52,8 +56,6 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from math import log1p, sqrt
-
-import numpy as np
 
 from .analytic import PairStatistics
 from .params import ExperimentConfig, arm_detection, require_valid
@@ -151,6 +153,8 @@ def _dispatch(worker, args_list, workers: int):
         return
     from concurrent.futures import ProcessPoolExecutor
 
+    import numpy  # noqa: F401  (forked workers inherit it instead of each importing it)
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         pending = deque()
         for args in args_list:
@@ -200,6 +204,8 @@ def _distinct(slots: np.ndarray) -> np.ndarray:
     """Distinct entries of ascending slots. np.unique would sort again, and
     without return_counts numpy 2.3+ takes a hash path that is ~50x slower
     on a million slots."""
+    import numpy as np
+
     keep = np.ones(len(slots), dtype=bool)
     np.not_equal(slots[1:], slots[:-1], out=keep[1:])
     return slots[keep]
@@ -214,6 +220,8 @@ def _block(args):
     the photons. A pair seen one slot apart puts its later photon in the
     next slot, so a block's detections span slots 0..n.
     """
+    import numpy as np
+
     key, n, means = args
     rng = np.random.default_rng(key)
     both, only_s, only_i, noise_s, noise_i, dark_s, dark_i, s_first, i_first = (
@@ -230,6 +238,8 @@ def _block(args):
 def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
     """Detections of a histogram run: (signal, idler), each channel's
     ascending slots with one entry per detection."""
+    import numpy as np
+
     merged = [], []
     for start, _, block in _run_blocks(cfg, point, workers):
         for slots, local in zip(merged, block):
@@ -250,6 +260,8 @@ def histogram_from_counts(
     window and drops the entries whose window is spent, so memory is
     O(entries) and the passes are as many as the fullest window's entries.
     """
+    import numpy as np
+
     if collapse:
         signal, idler = _distinct(signal), _distinct(idler)
     window = COINCIDENCE_WINDOW
@@ -278,6 +290,8 @@ def _fold_histogram(blocks, num_pulses: int, collapse: bool) -> CoincidenceHisto
     block may fill its slot too: joined, that slot simply appears more than
     once, which both histograms read as one click or as several detections.
     """
+    import numpy as np
+
     totals = dict.fromkeys(range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1), 0)
     empty = np.empty(0, dtype=np.int64)
     tail = (empty, empty)

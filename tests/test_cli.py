@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import lossless_config, num_blocks, pairs_only_config
 from timebinsim import PhasePair, __version__, config_to_dict, default_config
-from timebinsim.cli import main
+from timebinsim.cli import _linspace, main
 
 # Closed-form anchors at the baseline operating point, symmetrized
 # detection; frozen from direct evaluation of the formulas.
@@ -398,6 +399,88 @@ class TestFit:
             "--out-dir", str(tmp_path / "o"),
         ]) == 1
         assert "error" in capsys.readouterr().err
+
+
+# Runs each argv list through cli.main in a fresh interpreter, with numpy
+# made unimportable unless the first argument is "numpy", and prints the
+# exit codes and which modules the package loaded.
+STDLIB_RUNNER = """
+import json, sys
+block, runs = sys.argv[1] != "numpy", json.loads(sys.argv[2])
+if block:
+    sys.modules["numpy"] = None
+import timebinsim.cli
+loaded = {name: sys.modules.get(name) is not None for name in ("numpy", "timebinsim.montecarlo")}
+print(json.dumps({"codes": [timebinsim.cli.main(argv) for argv in runs], "loaded": loaded}))
+"""
+
+
+def run_fresh(block_numpy: bool, runs: list[list[str]]) -> dict:
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    mode = "blocked" if block_numpy else "numpy"
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_RUNNER, mode, json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestWithoutNumpy:
+    """Commands that sample nothing load no numpy and run without it."""
+
+    def test_cli_import_loads_no_numpy(self):
+        loaded = run_fresh(False, [])["loaded"]
+        assert loaded == {"numpy": False, "timebinsim.montecarlo": True}
+
+    @pytest.mark.parametrize(
+        "start, stop, steps",
+        [
+            (1e-4, 1e-2, 25), (0.25, 2.5, 10), (2e-2, 1e-3, 7), (1e-3, 1e-3, 3), (1e-3, 1e-2, 1),
+            (5e-324, 1e-323, 3),  # a step that underflows to 0
+        ],
+    )
+    def test_sweep_values_are_numpy_linspace(self, start, stop, steps):
+        assert _linspace(start, stop, steps) == np.linspace(start, stop, steps).tolist()
+
+    def test_analysis_commands_run_and_match_a_normal_run(self, tmp_path):
+        fringe, scaling = tmp_path / "fringe.csv", tmp_path / "scaling.csv"
+        phases = 2 * math.pi * np.arange(16) / 16
+        counts = np.random.default_rng(67_001).poisson(120.0 * (1 + 0.7 * np.cos(phases + 0.4)))
+        powers = np.linspace(0.05, 0.2, 16)
+        rng = np.random.default_rng(67_002)
+        means = (5.78 * powers**2, 1.03 * powers, 0.9 * powers)
+        series = [mean * (1 + 0.01 * rng.standard_normal(16)) for mean in means]
+        scaling_header = ["power_w", "mu_pairs", "mu_noise_signal", "mu_noise_idler"]
+        for path, header, columns in (
+            (fringe, ["phi_s", "coincidences"], (phases, counts)),
+            (scaling, scaling_header, (powers, *series)),
+        ):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(zip(*(c.tolist() for c in columns)))
+        commands = {
+            "mu": "analytic --sweep mu --start 1e-4 --stop 1e-2 --steps 25".split(),
+            "power": "analytic --sweep power --start 1e-3 --stop 2e-2 --steps 7".split(),
+            "dfdt": "analytic --sweep dfdt --start 0.25 --stop 2.5 --steps 10".split(),
+            "scaling": ["fit", "--model", "scaling", "--data", str(scaling)],
+            "fringe": ["fit", "--model", "fringe", "--data", str(fringe)],
+        }
+        runs = [[*argv, "--out-dir", str(tmp_path / "blocked" / name)] for name, argv in commands.items()]
+        result = run_fresh(True, runs)
+        assert result["codes"] == [0] * len(commands)
+        assert result["loaded"] == {"numpy": False, "timebinsim.montecarlo": True}
+        for name, argv in commands.items():
+            assert main([*argv, "--out-dir", str(tmp_path / "normal" / name)]) == 0
+            blocked, normal = tmp_path / "blocked" / name, tmp_path / "normal" / name
+            files = sorted(f.name for f in normal.iterdir())
+            assert sorted(f.name for f in blocked.iterdir()) == files
+            for file in files:
+                assert (blocked / file).read_bytes() == (normal / file).read_bytes(), (name, file)
 
 
 class TestEntryPoints:

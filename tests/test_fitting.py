@@ -1,6 +1,7 @@
 """Estimators: exact fringe recovery, power-law fits, ratio-curve plumbing."""
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -96,6 +97,35 @@ class TestFitFringe:
             fit_fringe(PHASES_16, np.full(16, -1.0))
         with pytest.raises(ValueError, match="mean level"):
             fit_fringe(PHASES_16, np.zeros(16))
+        with pytest.raises(ValueError, match="finite"):
+            fit_fringe(PHASES_16, np.full(16, np.nan))
+
+    @pytest.mark.parametrize(
+        "phases, counts",
+        [
+            (PHASES_16.reshape(4, 4), np.full((4, 4), 10.0)),
+            (PHASES_16.reshape(16, 1), np.full((16, 1), 10.0)),
+            (PHASES_16, np.full((16, 2), 10.0)),
+            ([[0.0, 2.0], [4.0, 6.0]], [[1.0, 1.0], [1.0, 1.0]]),
+            ([[0.0, 2.0], [4.0]], [1.0, 1.0, 1.0]),
+        ],
+    )
+    def test_two_dimensional_or_ragged_input_rejected(self, phases, counts):
+        with pytest.raises(ValueError, match="^phases and counts must be 1-d arrays of equal length$"):
+            fit_fringe(phases, counts)
+
+    @pytest.mark.parametrize("offset", [0.0, 1.2, -2.5])
+    @pytest.mark.parametrize("level", [50.0, 2000.0])
+    def test_unit_visibility_is_rounded_not_clamped(self, level, offset):
+        # On these exact V = 1 data the exact least-squares V differs from 1
+        # by -1.5e-16 to +1.03e-16: the excess is below half an ulp of 1
+        # (1.11e-16), so the correctly rounded V is at most 1.0 and the
+        # clamp flag stays clear. A float-only Gaussian elimination of the
+        # same normal equations lands one ulp above 1 on three of the six
+        # and would report them as clamped.
+        fit = fit_fringe(PHASES_16, sinusoid(PHASES_16, level, 1.0, offset))
+        assert not fit.clamped
+        assert 1.0 - 2.3e-16 < fit.visibility <= 1.0
 
 
 class TestProportionalFit:
@@ -121,6 +151,21 @@ class TestProportionalFit:
             proportional_fit([1.0, 2.0, 3.0], [1.0, 2.0])
         with pytest.raises(ValueError, match="slope undefined"):
             proportional_fit(np.zeros(4), np.ones(4))
+        with pytest.raises(ValueError, match="finite"):
+            proportional_fit([1.0, 2.0, math.inf], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (np.ones((4, 4)), np.ones((4, 4))),
+            (np.ones((4, 1)), np.ones((4, 1))),
+            (np.ones(4), np.ones((4, 2))),
+            ([[1.0, 2.0], [3.0]], [1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_two_dimensional_or_ragged_input_rejected(self, x, y):
+        with pytest.raises(ValueError, match="^x and y must be 1-d arrays of equal length$"):
+            proportional_fit(x, y)
 
 
 class TestFitScaling:
@@ -180,6 +225,10 @@ class TestFitScaling:
             fit_scaling(np.zeros(8), pairs, noise_s, noise_i, 0.75)
         with pytest.raises(ValueError, match="bandwidth_time_product"):
             fit_scaling(self.POWERS, pairs, noise_s, noise_i, 0.0)
+        with pytest.raises(ValueError, match="equal length"):
+            fit_scaling(self.POWERS, pairs, noise_s, noise_i[:-1], 0.75)
+        with pytest.raises(ValueError, match="^power_w must be 1-d"):
+            fit_scaling(self.POWERS.reshape(4, 4), pairs, noise_s, noise_i, 0.75)
 
 
 class TestCarCurve:
@@ -215,3 +264,80 @@ class TestCarCurve:
             car_curve(flagged, [1e-2])[0].car_simulated
             == car_curve(cfg, [1e-2])[0].car_simulated
         )
+
+
+def reference_fringe(phases, counts):
+    """fit_fringe's estimate by numpy lstsq on the sqrt-weighted design."""
+    design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+    root_w = 1.0 / np.sqrt(np.maximum(counts, 1.0))
+    (level, b, c), *_ = np.linalg.lstsq(design * root_w[:, None], counts * root_w, rcond=None)
+    cov = np.linalg.inv((design * root_w[:, None] ** 2).T @ design)
+    amplitude = math.hypot(b, c)
+    grad = np.array([-amplitude / level**2, b / (amplitude * level), c / (amplitude * level)])
+    return {
+        "visibility": amplitude / level,
+        "phase_offset": math.atan2(-c, b),
+        "mean_level": level,
+        "visibility_error": math.sqrt(grad @ cov @ grad),
+        "residual_norm": float(np.linalg.norm(counts - design @ [level, b, c])),
+    }
+
+
+def reference_slope(x, y):
+    """(k, var, r2) of proportional_fit by numpy lstsq."""
+    (k,), (sse,), *_ = np.linalg.lstsq(x[:, None], y, rcond=None)
+    return k, sse / (len(x) - 1) / (x @ x), 1.0 - sse / np.sum((y - y.mean()) ** 2)
+
+
+class TestNumericsAgainstNumpy:
+    """The standard-library fits against numpy least squares on seeded
+    Poisson sweeps, and list input against ndarray input."""
+
+    SWEEPS = 240
+
+    def test_fringe_matches_lstsq(self):
+        for k in range(self.SWEEPS):
+            rng = np.random.default_rng(64_000 + k)
+            phases = 2 * math.pi * np.arange(8 + k % 25) / (8 + k % 25)
+            level, visibility = rng.uniform(20.0, 2000.0), rng.uniform(0.1, 0.9)
+            truth = sinusoid(phases, level, visibility, rng.uniform(-math.pi, math.pi))
+            counts = rng.poisson(truth).astype(float)
+            fit = fit_fringe(phases, counts)
+            want = reference_fringe(phases, counts)
+            assert not fit.clamped
+            for key, value in want.items():
+                assert getattr(fit, key) == pytest.approx(value, rel=1e-12), (k, key)
+            assert fit == fit_fringe(phases.tolist(), counts.tolist())
+
+    def test_scaling_matches_lstsq(self):
+        powers = np.linspace(0.05, 0.2, 16)
+        for k in range(self.SWEEPS):
+            rng = np.random.default_rng(65_000 + k)
+            scale = 1e6 * rng.uniform(0.5, 2.0)
+            series = [
+                rng.poisson(scale * a * powers**e * 0.75) / scale
+                for a, e in ((5.78, 2), (1.03, 1), (0.9, 1))
+            ]
+            fit = fit_scaling(powers, *series, 0.75)
+            fields = (
+                ("pair_coeff", "r2_pairs", powers**2 * 0.75, series[0]),
+                ("noise_coeff_signal", "r2_noise_signal", powers * 0.75, series[1]),
+                ("noise_coeff_idler", "r2_noise_idler", powers * 0.75, series[2]),
+            )
+            for name, r2_name, x, y in fields:
+                k_hat, var, r2 = reference_slope(x, y)
+                assert getattr(fit, name + "_hat") == pytest.approx(k_hat, rel=1e-12), (k, name)
+                assert getattr(fit, name + "_var") == pytest.approx(var, rel=1e-12), (k, name)
+                assert getattr(fit, r2_name) == pytest.approx(r2, rel=1e-12), (k, name)
+            assert fit == fit_scaling(powers.tolist(), *(y.tolist() for y in series), 0.75)
+
+    def test_large_fits_stay_linear_in_time(self):
+        # An 8000-row fit takes ~25 ms on 2 vCPUs: the normal equations are
+        # summed in floats and only the 3x3 solve is rational. Summing the
+        # 1/y-weighted products as rationals took over a second.
+        phases = np.linspace(0.0, 2 * math.pi, 8000, endpoint=False)
+        counts = np.random.default_rng(66_000).poisson(sinusoid(phases, 50.0, 0.5, 0.3))
+        start = time.perf_counter()
+        fit_fringe(phases, counts)
+        fit_scaling(phases + 1.0, counts, counts, counts, 0.75)
+        assert time.perf_counter() - start < 0.5
