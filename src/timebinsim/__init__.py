@@ -1,7 +1,8 @@
 """Simulator and analysis toolkit for time-bin entangled photon-pair sources.
 
-The package splits along the physics: exact two-photon amplitudes
-(`quantum`), closed-form counting statistics (`analytic`), a seeded
+The package splits along the physics: closed-form two-photon sector
+probabilities, derived from the amplitudes and checked against a ket
+enumeration (`quantum`), closed-form counting statistics (`analytic`), a seeded
 event-stream Monte Carlo (`montecarlo`), estimators (`fitting`), experiment
 description (`params`), and a CLI (`cli`).
 """

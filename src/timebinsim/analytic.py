@@ -50,10 +50,17 @@ class PairStatistics:
 
 
 def mu_correlated(peak_power_w: float, source: SourceParams) -> float:
-    """Correlated-pair mean per pulse, quadratic in pump power."""
+    """Correlated-pair mean per pulse, quadratic in pump power.
+
+    inf past the float range (p above ~1.3e154 W), as any float product.
+    """
     if peak_power_w < 0:
         raise ValueError(f"peak power must be >= 0, got {peak_power_w}")
-    return source.pair_coeff * peak_power_w**2 * source.bandwidth_time_product
+    try:
+        square = peak_power_w**2
+    except OverflowError:
+        square = math.inf
+    return source.pair_coeff * square * source.bandwidth_time_product
 
 
 def mu_noise(peak_power_w: float, source: SourceParams) -> float:

@@ -165,6 +165,7 @@ def cmd_analytic(ns) -> int:
     alpha_sym, dark_mean = symmetrized_detection(cfg)
     detection = arm_detection(cfg, include_interferometer=True)
 
+    header = [ns.sweep, "mu_pairs", "mu_noise", "car", "predicted_visibility"]
     rows = []
     for value in values:
         if ns.sweep == "mu":
@@ -184,17 +185,16 @@ def cmd_analytic(ns) -> int:
             mu = stats.mu_total
         car = car_closed_form(mu, source, alpha_sym, dark_mean)
         vis = predicted_visibility(stats, *detection, cfg.coherence_slots)
-        rows.append(
-            [
-                value,
-                stats.mu_pairs,
-                0.5 * (stats.mu_noise_signal + stats.mu_noise_idler),
-                car,
-                vis,
-            ]
-        )
+        mu_noise = 0.5 * (stats.mu_noise_signal + stats.mu_noise_idler)
+        row = [value, stats.mu_pairs, mu_noise, car, vis]
+        for name, cell in zip(header, row):
+            if not math.isfinite(cell):
+                raise ValueError(
+                    f"--sweep {ns.sweep} value {value!r} from --start/--stop gives {name} = {cell}"
+                )
+        rows.append(row)
 
-    _write_csv(out_dir / "sweep.csv", [ns.sweep, "mu_pairs", "mu_noise", "car", "predicted_visibility"], rows)
+    _write_csv(out_dir / "sweep.csv", header, rows)
     _finish(
         out_dir,
         "analytic",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import atan2, cos, fsum, hypot, isfinite, isqrt, pi, sin
+from math import atan2, cos, fsum, hypot, inf, isfinite, isqrt, pi, sin
 
 from .analytic import car_closed_form, pump_power_for_mu
 from .montecarlo import CarEstimate, estimate_car, simulate_car_run
@@ -205,7 +205,12 @@ def fit_scaling(
         raise ValueError("powers must be positive")
     if bandwidth_time_product <= 0:
         raise ValueError("bandwidth_time_product must be positive")
-    pair_x = [v**2 * bandwidth_time_product for v in p]
+    try:
+        pair_x = [v**2 * bandwidth_time_product for v in p]
+    except OverflowError:  # a power above ~1.3e154
+        pair_x = [inf]
+    if not all(isfinite(v) for v in pair_x):
+        raise ValueError(f"power_w must keep p^2 F finite, got a power of {max(p)!r}")
     noise_x = [v * bandwidth_time_product for v in p]
     a_hat, a_var, r2_a = proportional_fit(pair_x, mu_pairs)
     bs_hat, bs_var, r2_s = proportional_fit(noise_x, mu_noise_signal)

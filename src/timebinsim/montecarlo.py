@@ -1,8 +1,8 @@
 """Event-stream Monte Carlo of the source and detection chain.
 
 One sampler serves both run types. Pairs are a Poisson stream; with both
-interferometers in, each pair falls into the sector the exact two-photon
-amplitudes give (quantum.sector_probabilities): both photons kept in one
+interferometers in, each pair falls into a sector with the closed-form
+probabilities of quantum.sector_probabilities: both photons kept in one
 slot, kept one slot apart, one kept, or neither. Kept photons are thinned by
 the channel alphas, and noise photons and dark counts join them. Each run
 is a delay histogram of click pairs:

@@ -163,6 +163,13 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         bad.append(f"source.rep_rate_ghz must be > 0, got {src.rep_rate_ghz}")
     if src.peak_power_w < 0:
         bad.append(f"source.peak_power_w must be >= 0, got {src.peak_power_w}")
+    else:
+        from .analytic import PairStatistics  # analytic imports this module
+
+        if not math.isfinite(PairStatistics.from_power(src.peak_power_w, src).mu_total):
+            bad.append(
+                f"source.peak_power_w must keep the channel mean finite, got {src.peak_power_w}"
+            )
 
     for name, ch in (("signal", cfg.signal), ("idler", cfg.idler)):
         if ch.out_coupling_db < 0:

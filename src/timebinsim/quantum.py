@@ -1,4 +1,4 @@
-"""Exact two-photon amplitudes for time-bin entangled states.
+"""Two-photon sector probabilities of time-bin entangled pairs, in closed form.
 
 A pump train coherent over n pulses prepares the pair state
 sum_k |k>_s |k>_i / sqrt(n), k = 1..n: both photons always share a slot,
@@ -12,21 +12,31 @@ with taps (t0, t1) = (1/2, e^{i phi}/2) in the monitored output port and
 photon routed to the discarded port is tracked as its own outcome rather
 than renormalized away (50% post-selection per photon).
 
-After one map per mode, amp[j, k] (signal in slot j, idler in slot k) is
-non-zero only for |j - k| <= 1, so the state is held as those three bands.
-The envelope is uniform, so each band is a few runs of equal amplitude:
-O(1) memory and work in n, where a dense array would need O(n^2).
+After one map per mode the amplitude of signal slot j, idler slot k is
+non-zero only for |j - k| <= 1, and the sector norms follow by hand:
+
+* Matched (j = k), with s = +1 for the two monitored ports and s = -1 when
+  exactly one photon is discarded (its delayed tap changes sign). The two
+  edge slots have one path each, of weight 1/(16n). Each of the n-1 inner
+  slots has two paths, both photons early or both late, which interfere:
+  |1 + s e^{i(phi_s + phi_i)}|^2 / (16n). Summed,
+
+      matched(s) = [2 + 2(n-1)(1 + s cos(phi_s + phi_i))] / (16n).
+
+* One slot apart, signal first or idler first: n slot pairs, each of one
+  path with amplitude (1/4)/sqrt(n), so 1/16 at any phase.
+
+So with both photons kept the sectors are matched(+1), 1/16 and 1/16. A
+port pair with one photon discarded holds matched(-1) + 1/8, and with both
+discarded matched(+1) + 1/8. Since matched(+1) + matched(-1) = 1/4, the six
+outcomes sum to 1 and each photon is kept with probability 1/2. The tests
+check every sector against a brute-force enumeration of the kets.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-
-Taps = tuple[complex, complex]
-# A band as runs of (amplitude, slot count), in slot order.
-Band = tuple[tuple[complex, int], ...]
 
 
 @dataclass(frozen=True)
@@ -37,48 +47,24 @@ class PhasePair:
     idler: float
 
 
-def _taps(phase: float, kept: bool = True) -> Taps:
-    """(direct, delayed) amplitudes of one interferometer output port."""
-    delayed = 0.5 * cmath.exp(1j * phase)
-    return 0.5, delayed if kept else -delayed
-
-
-def _bands(n_slots: int, signal: Taps, idler: Taps) -> tuple[Band, Band, Band]:
-    """Amplitude bands of the n-slot pair state after one map per mode.
-
-    Returns (matched, signal_first, idler_first): amp[j, j] over the n+1
-    output slots (the delayed path spills one slot past the window), and
-    amp[j, j+1] and amp[j+1, j] over n slots each. The envelope is uniform,
-    so each band is held as runs of (amplitude, slot count): the matched
-    band differs only in its two edge slots, each fed by a single path.
-    Needs at least two slots to carry any entanglement.
-    """
+def _matched(n_slots: int, phases: PhasePair, sign: int) -> float:
+    """Norm of the slot diagonal: sign +1 with both photons in their
+    monitored ports, -1 with one of them discarded. Needs at least two slots
+    to carry any entanglement."""
     if n_slots < 2:
         raise ValueError(f"n_slots must be >= 2, got {n_slots}")
-    c = 1.0 / math.sqrt(n_slots)
-    (s_direct, s_delayed), (i_direct, i_delayed) = signal, idler
-    direct = c * s_direct * i_direct
-    delayed = c * s_delayed * i_delayed
-    matched = ((direct, 1), (direct + delayed, n_slots - 1), (delayed, 1))
-    signal_first = ((c * s_direct * i_delayed, n_slots),)
-    idler_first = ((c * s_delayed * i_direct, n_slots),)
-    return matched, signal_first, idler_first
-
-
-def _norm(*bands: Band) -> float:
-    return sum(count * abs(amp) ** 2 for band in bands for amp, count in band)
+    inner = 1 + sign * math.cos(phases.signal + phases.idler)
+    return (2 + 2 * (n_slots - 1) * inner) / (16 * n_slots)
 
 
 def fringe(n_slots: int, phases: PhasePair) -> float:
     """Matched-coincidence probability after both interferometers.
 
-    The norm of the slot diagonal with both photons in their monitored
-    ports. Depends on the phases only through their sum; the closed form
-    is [2 + 2(n-1)(1 + cos(phi_s + phi_i))] / (16 n), bounded by the double
-    post-selection at 1/4.
+    [2 + 2(n-1)(1 + cos(phi_s + phi_i))] / (16 n): it depends on the phases
+    only through their sum and is bounded by the double post-selection at
+    1/4.
     """
-    matched, _, _ = _bands(n_slots, _taps(phases.signal), _taps(phases.idler))
-    return _norm(matched)
+    return _matched(n_slots, phases, 1)
 
 
 def sector_probabilities(
@@ -89,19 +75,10 @@ def sector_probabilities(
     Returns (matched, signal first, idler first, signal kept only, idler
     kept only); the neither-kept remainder completes the distribution. With
     both photons kept they share a slot (matched) or sit one slot apart,
-    the signal or the idler photon first. Each sector is the band norm
-    under its pair of port taps. The six outcomes must sum to 1: that is
-    checked, not assumed.
+    the signal or the idler photon first.
     """
-    s_kept, s_lost = _taps(phases.signal), _taps(phases.signal, kept=False)
-    i_kept, i_lost = _taps(phases.idler), _taps(phases.idler, kept=False)
-    both = [_norm(band) for band in _bands(n_slots, s_kept, i_kept)]
-    p_s_only = _norm(*_bands(n_slots, s_kept, i_lost))
-    p_i_only = _norm(*_bands(n_slots, s_lost, i_kept))
-    p_none = _norm(*_bands(n_slots, s_lost, i_lost))
-    if abs(sum(both) + p_s_only + p_i_only + p_none - 1.0) > 1e-9:
-        raise AssertionError("interferometer port probabilities do not sum to 1")
-    return (*both, p_s_only, p_i_only)
+    one_kept = _matched(n_slots, phases, -1) + 1 / 8
+    return (_matched(n_slots, phases, 1), 1 / 16, 1 / 16, one_kept, one_kept)
 
 
 def ideal_visibility(n_slots: int) -> float:

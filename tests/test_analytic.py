@@ -68,6 +68,12 @@ class TestPairStatistics:
         assert st.mu_noise_signal == 0.0
         assert st.mu_total == 0.0
 
+    def test_pair_mean_overflows_to_inf(self, baseline):
+        # p^2 leaves the float range near 1.3e154 W; the mean is inf, as
+        # any overflowing float product, not an OverflowError.
+        assert mu_correlated(1e200, baseline.source) == math.inf
+        assert PairStatistics.from_power(1e200, baseline.source).mu_total == math.inf
+
     def test_negative_power_rejected(self, baseline):
         with pytest.raises(ValueError, match="peak power"):
             mu_correlated(-1e-3, baseline.source)

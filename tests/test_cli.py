@@ -53,6 +53,26 @@ class TestAnalytic:
         assert f"argument {flag}: expected a finite number, got '{value}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sweep, start, stop, shown",
+        [
+            # The pair mean grows as p^2, which leaves the float range.
+            ("power", "1e200", "1e201", "1e+200 from --start/--stop gives mu_pairs = inf"),
+            # A subnormal bandwidth-time product leaves no finite pump power.
+            ("dfdt", "1e-320", "1e-310", "1e-320 from --start/--stop gives mu_pairs = nan"),
+        ],
+    )
+    def test_sweep_beyond_float_range_is_one_error_line(
+        self, tmp_path, capsys, sweep, start, stop, shown
+    ):
+        out = tmp_path / "out"
+        assert main([
+            "analytic", "--out-dir", str(out), "--sweep", sweep,
+            "--start", start, "--stop", stop, "--steps", "2",
+        ]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: --sweep {sweep} value {shown}"]
+        assert not (out / "sweep.csv").exists()
+
     def test_dfdt_sweep_holds_operating_mu(self, tmp_path):
         out = tmp_path / "out"
         assert main([
@@ -187,6 +207,26 @@ class TestMcCar:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("mc-car", []),
+            ("mc-fringe", []),
+            ("analytic", ["--sweep", "dfdt", "--start", "1", "--stop", "2", "--steps", "2"]),
+        ],
+    )
+    def test_overflowing_peak_power_is_one_error_line(self, tmp_path, capsys, command, extra):
+        cfg = default_config()
+        cfg = replace(cfg, source=replace(cfg.source, peak_power_w=1e200))
+        out = tmp_path / "never"
+        cfg_path = write_config(tmp_path, cfg)
+        assert main([command, "--config", cfg_path, "--out-dir", str(out), *extra]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid config: source.peak_power_w must keep the channel mean finite,"
+            " got 1e+200"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("source", "pair_coeff", None),
@@ -268,8 +308,8 @@ class TestMcFringe:
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_long_coherence_window_runs(self, tmp_path):
-        # No amplitude array grows with the coherence window, so a
-        # 10**15-slot window is as cheap as a 5-slot one.
+        # The sector probabilities are closed forms in the coherence window,
+        # so a 10**15-slot window is as cheap as a 5-slot one.
         cfg = pairs_only_config(0.05, 10**15, 20_000, seed=71_003)
         out = tmp_path / "out"
         assert main([
@@ -391,6 +431,19 @@ class TestFit:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines() == [f"error: {data}: {where}: expected a finite number, got {cell}"]
+        assert not (out / "fit.json").exists()
+
+    def test_overflowing_power_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "scaling.csv"
+        data.write_text(
+            "power_w,mu_pairs,mu_noise_signal,mu_noise_idler\n"
+            "0.05,0.01,0.04,0.04\n0.06,0.02,0.05,0.05\n1e200,0.03,0.06,0.06\n"
+        )
+        out = tmp_path / "o"
+        assert main(["fit", "--model", "scaling", "--data", str(data), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: power_w must keep p^2 F finite, got a power of 1e+200"
+        ]
         assert not (out / "fit.json").exists()
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):

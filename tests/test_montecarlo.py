@@ -1,5 +1,5 @@
 """Sampled runs: reproducibility contract, histogram mechanics, ratio and
-fringe counts checked against the closed forms and the amplitude engine."""
+fringe counts checked against the closed forms and the sector probabilities."""
 
 import concurrent.futures
 import math
@@ -439,8 +439,8 @@ class TestFringeRun:
     def test_counts_match_amplitude_engine(self):
         # Pure pairs with unit alpha: a delay-0 coincidence is a matched-slot
         # outcome or two pairs whose photons share a slot, so the mean count
-        # is pulses * P_0 with the sector probabilities straight from the
-        # amplitude engine. At phi = pi it is 4.49, not pulses * mu *
+        # is pulses * P_0 with the sector probabilities straight from
+        # quantum. At phi = pi it is 4.49, not pulses * mu *
         # p_matched = 0.5.
         n_slots, mu, pulses = 1000, 4e-3, 1_000_000
         for phi in (0.0, 0.5 * math.pi, math.pi):
@@ -471,7 +471,7 @@ class TestFringeRun:
         # Five slots, no noise anywhere: the fitted fringe visibility is the
         # fit of the expected counts up to counting noise. Two pairs in one
         # pulse add a phase-free floor, so at mu = 0.05 that is 0.727, below
-        # the ideal (n-1)/n = 0.8 of the amplitude engine.
+        # the ideal (n-1)/n = 0.8 of the single-pair state.
         from timebinsim import fit_fringe
 
         phases = 2 * math.pi * np.arange(12) / 12
