@@ -165,20 +165,27 @@ def fit_fringe(phases, counts) -> FringeFit:
     )
 
 
-def proportional_fit(x, y) -> tuple[float, float, float]:
+def proportional_fit(x, y, names: str = "x and y") -> tuple[float, float, float]:
     """Least-squares slope of y = k x through the origin.
 
     Returns (k, var(k), r2). r2 is computed against the mean-of-y baseline,
     so a wrong power law shows up as a visibly poorer r2 even when the
-    slope itself converges.
+    slope itself converges. names are the columns x and y come from, for
+    the error messages.
     """
-    x, y = _vectors("x and y", x, y)
+    x, y = _vectors(names, x, y)
     if len(x) < 3:
         raise ValueError(f"need at least 3 points, got {len(x)}")
-    sxx = fsum(v * v for v in x)
+    try:
+        sxx = fsum(v * v for v in x)
+        sxy = fsum(u * v for u, v in zip(x, y))
+    except OverflowError:  # fsum's partial sums left the float range
+        sxx = inf
+    if not isfinite(sxx) or not isfinite(sxy):
+        raise ValueError(f"{names} overflow the sums of the least-squares fit")
     if sxx == 0.0:
         raise ValueError("all x are zero: slope undefined")
-    k = fsum(u * v for u, v in zip(x, y)) / sxx
+    k = sxy / sxx
     sse = fsum((v - k * u) ** 2 for u, v in zip(x, y))
     var = sse / (len(x) - 1) / sxx
     mean = fsum(y) / len(y)
@@ -212,9 +219,9 @@ def fit_scaling(
     if not all(isfinite(v) for v in pair_x):
         raise ValueError(f"power_w must keep p^2 F finite, got a power of {max(p)!r}")
     noise_x = [v * bandwidth_time_product for v in p]
-    a_hat, a_var, r2_a = proportional_fit(pair_x, mu_pairs)
-    bs_hat, bs_var, r2_s = proportional_fit(noise_x, mu_noise_signal)
-    bi_hat, bi_var, r2_i = proportional_fit(noise_x, mu_noise_idler)
+    a_hat, a_var, r2_a = proportional_fit(pair_x, mu_pairs, "power_w and mu_pairs")
+    bs_hat, bs_var, r2_s = proportional_fit(noise_x, mu_noise_signal, "power_w and mu_noise_signal")
+    bi_hat, bi_var, r2_i = proportional_fit(noise_x, mu_noise_idler, "power_w and mu_noise_idler")
     return ScalingFit(
         pair_coeff_hat=a_hat,
         pair_coeff_var=a_var,

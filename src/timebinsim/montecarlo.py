@@ -21,23 +21,32 @@ and collapsed to a slot set. A channel's detections are one ascending slot
 array with one entry per detection, so a slot with k detections appears k
 times.
 
-Reproducibility contract: every run enters through _run_blocks, which cuts
-it into consecutive blocks of block_pulses(cfg, sectors) pulses, sized so
-that a block expects about EVENTS_PER_BLOCK draws of the run's stream means
-(at least one pulse, at most MAX_BLOCK_PULSES). The size is a pure function
-of the config and the phase setting, and a Poisson process split at block
+Reproducibility contract: every run enters through _chunks, which cuts it
+into consecutive blocks of block_pulses(cfg, sectors) pulses, sized so that
+a block expects about EVENTS_PER_BLOCK draws of the run's stream means (at
+least one pulse, at most MAX_BLOCK_PULSES). The size is a pure function of
+the config and the phase setting, and a Poisson process split at block
 edges leaves the blocks independent. Block b of sweep point p draws from
-default_rng((seed, b, p)) and results are merged in block order. A single
-run is point 0, and SeedSequence pads its entropy with zeros, so its block b
-draws from default_rng((seed, b)). Output is a pure function of (config,
-seed, point) no matter how many workers execute the blocks.
+default_rng((seed, b, p)), whichever process draws it. A single run is
+point 0, and SeedSequence pads its entropy with zeros, so its block b draws
+from default_rng((seed, b)). Output is a pure function of (config, seed,
+point) no matter how many workers run it.
 
-The delay histogram is folded over the blocks as they arrive. Each
-channel's detections in the last COINCIDENCE_WINDOW slots are carried into
-the next block, so a pair across a block edge is counted once and no
-run-length detection list is held: memory is O(detections per block). The
-later photon of a pair seen one slot apart can land one slot past its
-block, where it is one more entry of a slot the next block may fill too.
+The delay histogram is folded block by block. Each channel's detections in
+the last COINCIDENCE_WINDOW slots are carried into the next block, so a pair
+across a block edge is counted once and no run-length detection list is
+held: memory is O(detections per block). The later photon of a pair seen
+one slot apart can land one slot past its block, where it is one more entry
+of a slot the next block may fill too.
+
+With several workers the run's blocks are cut into contiguous chunks, one
+per process, and each process folds its own chunk and returns the 7 delay
+counts, which the parent adds. A chunk first draws again the few blocks
+before it whose detections reach its first COINCIDENCE_WINDOW slots, only to
+build the tail it starts from, so every pair is counted in exactly one
+chunk. A chunk holds at least two blocks, so with blocks longer than
+COINCIDENCE_WINDOW the one block drawn again is at most a third of a chunk's
+work; runs of fewer than four blocks run in this process, as one chunk.
 
 numpy is imported inside the functions that draw and bin, so importing this
 module, and every command that samples nothing, runs on the standard
@@ -53,7 +62,6 @@ multi-photon contribution.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from math import log1p, sqrt
 
@@ -63,12 +71,15 @@ from .quantum import PhasePair, sector_probabilities
 
 # Accidental window: delays -3..+3 around the true-coincidence bin.
 COINCIDENCE_WINDOW = 3
-# Expected draws per block, the unit of seeding and of parallel dispatch, at
-# any density. At ~5e-8 s per event a million is ~50 ms of work, about what
-# one pool process costs to start.
+# Expected draws per block, the unit of seeding and of the fold, at any
+# density. At ~5e-8 s per event a million is ~50 ms of work, so per-block
+# overhead is small and a block's arrays stay at a few MiB.
 EVENTS_PER_BLOCK = 1_000_000
 # Largest block, in pulses; it bounds the peak memory of sparse runs.
 MAX_BLOCK_PULSES = 10**10
+# numpy's largest Poisson mean (POISSON_LAM_MAX in numpy.random); a stream's
+# mean over one block must not exceed it.
+POISSON_MAX = 9.223372006484771e18
 
 
 class InsufficientStatisticsError(ValueError):
@@ -139,41 +150,19 @@ def block_pulses(cfg: ExperimentConfig, sectors: tuple | None = None) -> int:
     return max(1, int(EVENTS_PER_BLOCK / rate))
 
 
-def _dispatch(worker, args_list, workers: int):
-    """Yield worker(args) in order, so callers can merge each and free it.
-
-    The pool has no more processes than there are blocks or cores this
-    process may run on, and at most two blocks per process are in flight,
-    so finished results wait in memory only until the caller reaches them.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = min(workers, len(args_list), cores or 1)
-    if size <= 1:
-        yield from map(worker, args_list)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    import numpy  # noqa: F401  (forked workers inherit it instead of each importing it)
-
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        pending = deque()
-        for args in args_list:
-            if len(pending) == 2 * size:
-                yield pending.popleft().result()
-            pending.append(pool.submit(worker, args))
-        while pending:
-            yield pending.popleft().result()
-
-
-def _run_blocks(
+def _chunks(
     cfg: ExperimentConfig, point: int, workers: int, phases: PhasePair | None = None
-):
-    """(first slot, length, detections) of each block of one run, in order:
-    a histogram run without phases, a fringe point at phases with them.
+) -> list[tuple]:
+    """A run cut into contiguous chunks of its blocks, one per process: a
+    histogram run without phases, a fringe point at phases with them.
 
-    The only way into a run: the config is checked, the blocks are sized
-    and block b draws the streams of _stream_means(cfg, sectors) from the
-    key (cfg.seed, b, point).
+    The only way into a run: the config is checked, the blocks are sized and
+    the run is (seed, point, block length, pulses, stream means), whose
+    block b _block draws from the key (cfg.seed, b, point). A chunk
+    (run, start, first, stop) counts blocks first..stop - 1; blocks
+    start..first - 1 are the earlier ones whose detections can reach block
+    first's leading COINCIDENCE_WINDOW slots. There are min(workers, usable
+    cores, blocks // 2) chunks, and at least one.
     """
     require_valid(cfg)
     if cfg.interferometers_present != (phases is not None):
@@ -185,14 +174,31 @@ def _run_blocks(
     sectors = None if phases is None else sector_probabilities(cfg.coherence_slots, phases)
     size = block_pulses(cfg, sectors)
     means = _stream_means(cfg, sectors)
-    starts = range(0, cfg.num_pulses, size)
-    lengths = [min(size, cfg.num_pulses - start) for start in starts]
-    args = [((cfg.seed, b, point), length, means) for b, length in enumerate(lengths)]
-    results = _dispatch(_block, args, workers)
-    # The generator keeps no reference to a yielded block, so the caller can
-    # free it before the next block is drawn.
-    for start, length in zip(starts, lengths):
-        yield start, length, next(results)
+    if max(means) * size > POISSON_MAX:
+        raise ValueError(
+            f"invalid config: source.peak_power_w must keep a stream's mean per block"
+            f" within numpy's Poisson range ({POISSON_MAX:.4g}), got {cfg.source.peak_power_w!r}"
+        )
+    blocks = -(-cfg.num_pulses // size)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    count = max(1, min(workers, cores or 1, blocks // 2))
+    edges = [blocks * k // count for k in range(count + 1)]
+    lead = COINCIDENCE_WINDOW // size + 1
+    run = (cfg.seed, point, size, cfg.num_pulses, means)
+    return [(run, max(0, first - lead), first, stop) for first, stop in zip(edges, edges[1:])]
+
+
+def _map(worker, chunks: list) -> list:
+    """worker(chunk) of each chunk, in order: in this process for one chunk,
+    else on a pool of one process per chunk."""
+    if len(chunks) == 1:
+        return [worker(chunks[0])]
+    from concurrent.futures import ProcessPoolExecutor
+
+    import numpy  # noqa: F401  (forked workers inherit it instead of each importing it)
+
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(pool.map(worker, chunks))
 
 
 def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
@@ -211,19 +217,21 @@ def _distinct(slots: np.ndarray) -> np.ndarray:
     return slots[keep]
 
 
-def _block(args):
-    """Detections of one pulse block: each channel's ascending slots, one
-    entry per detection.
+def _block(run: tuple, b: int):
+    """End slot and detections of block b of a run: each channel's
+    ascending run slots, one entry per detection.
 
     The streams are drawn in the order of _stream_means. A recorded dark is
     one detection, so each channel's darks are deduplicated before they join
     the photons. A pair seen one slot apart puts its later photon in the
-    next slot, so a block's detections span slots 0..n.
+    next slot, so a block's detections span its first slot to its end.
     """
     import numpy as np
 
-    key, n, means = args
-    rng = np.random.default_rng(key)
+    seed, point, size, pulses, means = run
+    start = b * size
+    n = min(size, pulses - start)
+    rng = np.random.default_rng((seed, b, point))
     both, only_s, only_i, noise_s, noise_i, dark_s, dark_i, s_first, i_first = (
         _events(rng, n, mean) for mean in means
     )
@@ -232,7 +240,17 @@ def _block(args):
     channels = tuple(np.concatenate(part) for part in (signal, idler))
     for slots in channels:
         slots.sort()
-    return channels
+        slots += start
+    return start + n, channels
+
+
+def _detections(chunk) -> tuple:
+    """Each channel's detections in a chunk's blocks, ascending run slots."""
+    import numpy as np
+
+    run, _, first, stop = chunk
+    blocks = [_block(run, b)[1] for b in range(first, stop)]
+    return tuple(np.concatenate(slots) for slots in zip(*blocks))
 
 
 def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
@@ -240,11 +258,8 @@ def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
     ascending slots with one entry per detection."""
     import numpy as np
 
-    merged = [], []
-    for start, _, block in _run_blocks(cfg, point, workers):
-        for slots, local in zip(merged, block):
-            slots.append(local + start)
-    return tuple(np.concatenate(slots) for slots in merged)
+    parts = _map(_detections, _chunks(cfg, point, workers))
+    return tuple(np.concatenate(slots) for slots in zip(*parts))
 
 
 def histogram_from_counts(
@@ -278,9 +293,9 @@ def histogram_from_counts(
     return CoincidenceHistogram(counts=counts, num_pulses=num_pulses)
 
 
-def _fold_histogram(blocks, num_pulses: int, collapse: bool) -> CoincidenceHistogram:
-    """Delay histogram of a run from its (first slot, length, detections)
-    blocks.
+def _fold(chunk, collapse: bool = True) -> dict[int, int]:
+    """Delay counts of the pairs whose later-drawn detection is in one of a
+    chunk's counted blocks.
 
     The tail, each channel's detections from COINCIDENCE_WINDOW slots before
     the next block's first slot on, rides into the next block. Adding the
@@ -289,31 +304,36 @@ def _fold_histogram(blocks, num_pulses: int, collapse: bool) -> CoincidenceHisto
     photon that spilled past the previous block is in the tail, and the
     block may fill its slot too: joined, that slot simply appears more than
     once, which both histograms read as one click or as several detections.
+    The blocks before the first counted one only build its tail.
     """
     import numpy as np
 
+    run, start, first, stop = chunk
     totals = dict.fromkeys(range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1), 0)
     empty = np.empty(0, dtype=np.int64)
     tail = (empty, empty)
-    for start, length, block in blocks:
+    for b in range(start, stop):
+        end, block = _block(run, b)
         # One entry per clicked slot from here on, and the raw block is freed.
         if collapse:
             block = [_distinct(slots) for slots in block]
-        joined = [np.concatenate((t, slots + start)) for t, slots in zip(tail, block)]
-        added = histogram_from_counts(*joined, length, collapse).counts
-        counted = histogram_from_counts(*tail, 0, collapse).counts
-        for delay in totals:
-            totals[delay] += added[delay] - counted[delay]
-        edge = start + length - COINCIDENCE_WINDOW
-        tail = [slots[np.searchsorted(slots, edge) :] for slots in joined]
-    return CoincidenceHistogram(counts=totals, num_pulses=num_pulses)
+        joined = [np.concatenate(pair) for pair in zip(tail, block)]
+        if b >= first:
+            added = histogram_from_counts(*joined, 0, collapse).counts
+            counted = histogram_from_counts(*tail, 0, collapse).counts
+            for delay in totals:
+                totals[delay] += added[delay] - counted[delay]
+        tail = [slots[np.searchsorted(slots, end - COINCIDENCE_WINDOW) :] for slots in joined]
+    return totals
 
 
 def simulate_car_run(
     cfg: ExperimentConfig, workers: int = 1, *, point: int = 0
 ) -> CoincidenceHistogram:
     """Full histogram run at the config's pump power."""
-    return _fold_histogram(_run_blocks(cfg, point, workers), cfg.num_pulses, collapse=True)
+    parts = _map(_fold, _chunks(cfg, point, workers))
+    counts = {delay: sum(part[delay] for part in parts) for delay in parts[0]}
+    return CoincidenceHistogram(counts=counts, num_pulses=cfg.num_pulses)
 
 
 def estimate_car(hist: CoincidenceHistogram) -> CarEstimate:
@@ -342,5 +362,4 @@ def simulate_fringe_run(
 ) -> int:
     """Delay-0 coincidence count at one phase setting over cfg.num_pulses:
     the delay-0 bin of the run's folded histogram."""
-    blocks = _run_blocks(cfg, point, workers, phases)
-    return _fold_histogram(blocks, cfg.num_pulses, collapse=True).counts[0]
+    return sum(part[0] for part in _map(_fold, _chunks(cfg, point, workers, phases)))

@@ -226,6 +226,23 @@ class TestMcCar:
         ]
         assert not out.exists()
 
+    def test_undrawable_channel_mean_is_one_error_line(self, tmp_path, capsys):
+        # A finite channel mean of ~3e298 per slot passes validation, but
+        # numpy cannot draw a Poisson mean above ~9.2e18: the run stops
+        # before any draw, naming the field. The closed forms still run.
+        cfg = default_config()
+        cfg = replace(cfg, source=replace(cfg.source, peak_power_w=1e150))
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["mc-car", "--config", cfg_path, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid config: source.peak_power_w ")
+        assert err[0].endswith(", got 1e+150")
+        assert not (out / "histogram.csv").exists()
+        analytic = ["--sweep", "mu", "--start", "1e-3", "--stop", "1e-2", "--steps", "2"]
+        assert main(["analytic", "--config", cfg_path, "--out-dir", str(out), *analytic]) == 0
+
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -443,6 +460,21 @@ class TestFit:
         assert main(["fit", "--model", "scaling", "--data", str(data), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: power_w must keep p^2 F finite, got a power of 1e+200"
+        ]
+        assert not (out / "fit.json").exists()
+
+    @pytest.mark.parametrize("power", [1e100, 1.3e77], ids=["square-overflows", "sum-overflows"])
+    def test_overflowing_fit_sums_are_one_error_line(self, tmp_path, capsys, power):
+        # p^2 F is finite, but the sum of its squares is not: (p^2 F)^2
+        # overflows at 1e100, and fsum's running total of three finite
+        # squares at 1.3e77. The slope came out 0, or fsum raised.
+        data = tmp_path / "scaling.csv"
+        rows = "".join(f"{k * power!r},{0.01 * k},0.04,0.04\n" for k in (1, 2, 3))
+        data.write_text("power_w,mu_pairs,mu_noise_signal,mu_noise_idler\n" + rows)
+        out = tmp_path / "o"
+        assert main(["fit", "--model", "scaling", "--data", str(data), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: power_w and mu_pairs overflow the sums of the least-squares fit"
         ]
         assert not (out / "fit.json").exists()
 

@@ -66,8 +66,10 @@ class TestBlocks:
             (40, [(0, 40)]),
             (39, [(0, 39)]),
         ):
-            blocks = montecarlo._run_blocks(lossless_config(4e-3, pulses), 0, 1)
-            assert [(start, length) for start, length, _ in blocks] == partition
+            ((run, start, first, stop),) = montecarlo._chunks(lossless_config(4e-3, pulses), 0, 1)
+            assert (start, first) == (0, 0)
+            ends = [montecarlo._block(run, b)[0] for b in range(stop)]
+            assert ends == [start + length for start, length in partition]
 
     def test_size_is_expected_events_over_draws_per_slot(self):
         # Darks only: the two dark streams draw -log(1 - d) per slot each.
@@ -103,8 +105,10 @@ class TestDispatch:
         "workers, blocks, cores, size",
         [
             (5000, 10, 4, 4),
-            (5000, 3, 4, 3),
+            (5000, 3, 4, None),
+            (5000, 2, 4, None),
             (2, 10, 4, 2),
+            (3, 7, 4, 3),
             (5000, 10, None, None),
             (5000, 1, 4, None),
             (5000, 10, 1, None),
@@ -113,20 +117,12 @@ class TestDispatch:
     def test_pool_capped_by_blocks_and_cores(self, monkeypatch, workers, blocks, cores, size):
         # The host has 8 cores and the process may run on `cores` of them;
         # None is a platform without affinity whose cpu_count() is unknown.
+        # A pool has one process per chunk, and a chunk at least two blocks.
         sizes = []
-        in_flight = [0, 0]  # now, highest
-
-        class FakeFuture:
-            def __init__(self, value):
-                self.value = value
-
-            def result(self):
-                in_flight[0] -= 1
-                return self.value
 
         class FakePool:
-            """Records the pool size and the blocks in flight, runs each block
-            at submission; starts no process."""
+            """Records the pool size and maps in this process; starts no
+            process."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -137,25 +133,28 @@ class TestDispatch:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, item):
-                in_flight[0] += 1
-                in_flight[1] = max(in_flight)
-                return FakeFuture(fn(item))
+            def map(self, fn, items):
+                return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None if cores is None else 8)
         if cores is None:
             monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
         else:
             affinity = lambda pid: set(range(cores))
             monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
-        args = list(range(-blocks, 0))
-        assert list(montecarlo._dispatch(abs, args, workers)) == [abs(a) for a in args]
-        # cpu_count() None counts as one core, and one block or one allowed
-        # core needs no pool: serial, no pool at all.
+        chunks = montecarlo._chunks(lossless_config(4e-3, 40 * blocks - 3), 0, workers)
+        # Contiguous chunks cover every block once; each draws again from
+        # the first earlier block whose detections reach its first slots.
+        assert [first for _, _, first, _ in chunks] == [0] + [stop for *_, stop in chunks[:-1]]
+        assert chunks[-1][3] == blocks
+        assert [chunk[1] for chunk in chunks] == [max(0, chunk[2] - 1) for chunk in chunks]
+        assert len(chunks) == (size or 1)
+        assert montecarlo._map(abs, [-1] * len(chunks)) == [1] * len(chunks)
+        # cpu_count() None counts as one core, and one chunk needs no pool:
+        # serial, no pool at all.
         assert sizes == ([] if size is None else [size])
-        assert in_flight[0] == 0
-        assert in_flight[1] <= 2 * (size or 0)
 
 
 class TestReproducibility:
@@ -197,6 +196,26 @@ class TestReproducibility:
         assert simulate_fringe_run(cfg, phases, workers=1) == simulate_fringe_run(
             cfg, phases, workers=2
         )
+
+    def test_worker_count_is_invisible_across_chunks(self, monkeypatch):
+        # Eleven 20-pulse blocks at 8 pairs per pulse, cut into 2 and 3
+        # chunks that run in pool processes: the histogram, a fringe point
+        # and the detections equal those of the run in this process.
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 20)
+        affinity = lambda pid: {0, 1, 2}
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
+        fringe_cfg = pairs_only_config(8.0, 5, 10 * 20 + 3)
+        cfg = replace(fringe_cfg, interferometers_present=False)
+        phases = PhasePair(0.6, 0.0)
+        hist, count = simulate_car_run(cfg), simulate_fringe_run(fringe_cfg, phases)
+        signal, idler = detected_counts(cfg)
+        for workers in (2, 3):
+            assert len(montecarlo._chunks(cfg, 0, workers)) == workers
+            assert simulate_car_run(cfg, workers) == hist
+            assert simulate_fringe_run(fringe_cfg, phases, workers) == count
+            parallel_signal, parallel_idler = detected_counts(cfg, workers)
+            assert np.array_equal(parallel_signal, signal)
+            assert np.array_equal(parallel_idler, idler)
 
     def test_point_zero_block_streams_are_seed_and_block(self, monkeypatch):
         # The documented contract: block b of a single run (point 0) draws
@@ -352,8 +371,8 @@ class TestHistogram:
         for slots in (signal, idler):
             assert {0, 1, 2, 37, 38, 39} <= set((slots % 40).tolist())
         whole = histogram_from_counts(signal, idler, cfg.num_pulses, collapse=collapse)
-        blocks = montecarlo._run_blocks(cfg, 0, 1)
-        assert montecarlo._fold_histogram(blocks, cfg.num_pulses, collapse) == whole
+        (chunk,) = montecarlo._chunks(cfg, 0, 1)
+        assert montecarlo._fold(chunk, collapse) == whole.counts
         if collapse:
             assert simulate_car_run(cfg) == whole
 
@@ -363,7 +382,8 @@ class TestHistogram:
         # the windows of about seven others uncollapsed: a list of every
         # pair would take ~200 MiB, the entries themselves ~6 MiB a channel.
         cfg = lossless_config(1.0, 2_000_000, seed=654)
-        _, length, block = next(montecarlo._run_blocks(cfg, 0, 1))
+        ((run, *_),) = montecarlo._chunks(cfg, 0, 1)
+        length, block = montecarlo._block(run, 0)  # block 0 ends at its length
         tracemalloc.start()
         try:
             histogram_from_counts(*block, length, collapse=collapse)
@@ -500,8 +520,8 @@ class TestFringeRun:
         n, runs = cfg.num_pulses, 40
         totals = dict.fromkeys(p, 0)
         for k in range(runs):
-            blocks = montecarlo._run_blocks(replace(cfg, seed=60_000 + k), 0, 1, phases)
-            for delay, count in montecarlo._fold_histogram(blocks, n, True).counts.items():
+            (chunk,) = montecarlo._chunks(replace(cfg, seed=60_000 + k), 0, 1, phases)
+            for delay, count in montecarlo._fold(chunk).items():
                 totals[delay] += count
         for delay, count in totals.items():
             expected = runs * (n - abs(delay)) * p[delay]
@@ -513,27 +533,31 @@ class TestFringeRun:
         with pytest.raises(ValueError, match="interferometers_present"):
             simulate_fringe_run(cfg, PhasePair(0.0, 0.0))
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 20])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 20])
     def test_pair_across_block_edge_counted_once(self, monkeypatch, size):
         # Blocks of `size` slots at 8 pairs per pulse: one-slot-apart pairs
         # put their later photon one slot past their block, into a slot the
         # next block fills too. Blocks shorter than COINCIDENCE_WINDOW leave
-        # detections of several earlier blocks in the tail. The fold must
+        # detections of several earlier blocks in the tail, and a chunk must
+        # draw all of them again to start from that tail. Summed over the
+        # chunks of 1, 2 or 3 workers, folded in this process, the fold must
         # count a shared slot as one click, or every detection in it
-        # uncollapsed, on any worker count, and equal the histogram of the
-        # whole run's detections.
+        # uncollapsed, and equal the histogram of the whole run's detections.
         monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: size)
+        affinity = lambda pid: {0, 1, 2}
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         cfg = pairs_only_config(8.0, 5, 10 * 20 + 3)
         phases = PhasePair(0.6, 0.0)
-        blocks = list(montecarlo._run_blocks(cfg, 0, 1, phases))
-        assert len(blocks) == -(-cfg.num_pulses // size)
-        assert any(slots[-1] == length for _, length, block in blocks for slots in block)
+        ((run, *_),) = montecarlo._chunks(cfg, 0, 1, phases)
+        blocks = [montecarlo._block(run, b) for b in range(-(-cfg.num_pulses // size))]
+        assert any(slots[-1] == end for end, block in blocks for slots in block)
         whole = [
-            np.sort(np.concatenate([block[channel] + start for start, _, block in blocks]))
-            for channel in range(2)
+            np.sort(np.concatenate([block[channel] for _, block in blocks])) for channel in range(2)
         ]
-        parallel = list(montecarlo._run_blocks(cfg, 0, 2, phases))
         for collapse in (True, False):
-            folded = montecarlo._fold_histogram(blocks, cfg.num_pulses, collapse)
-            assert folded == histogram_from_counts(*whole, cfg.num_pulses, collapse)
-            assert montecarlo._fold_histogram(parallel, cfg.num_pulses, collapse) == folded
+            expected = histogram_from_counts(*whole, cfg.num_pulses, collapse).counts
+            for workers in (1, 2, 3):
+                chunks = montecarlo._chunks(cfg, 0, workers, phases)
+                assert len(chunks) == workers
+                parts = [montecarlo._fold(chunk, collapse) for chunk in chunks]
+                assert {d: sum(part[d] for part in parts) for d in expected} == expected
