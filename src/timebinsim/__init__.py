@@ -35,6 +35,7 @@ from .montecarlo import (
     estimate_car,
     simulate_car_run,
     simulate_fringe_run,
+    simulate_fringe_sweep,
 )
 from .params import (
     ChannelParams,
@@ -77,6 +78,7 @@ __all__ = [
     "estimate_car",
     "simulate_car_run",
     "simulate_fringe_run",
+    "simulate_fringe_sweep",
     "ChannelParams",
     "ExperimentConfig",
     "SourceParams",

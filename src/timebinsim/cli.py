@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -35,7 +36,7 @@ from .montecarlo import (
     InsufficientStatisticsError,
     estimate_car,
     simulate_car_run,
-    simulate_fringe_run,
+    simulate_fringe_sweep,
 )
 from .params import (
     ExperimentConfig,
@@ -240,10 +241,8 @@ def cmd_mc_fringe(ns) -> int:
     cfg, out_dir = _prepare(ns)
     cfg = replace(cfg, interferometers_present=True)
     phi_s = [2.0 * math.pi * k / ns.steps for k in range(ns.steps)]
-    counts = [
-        simulate_fringe_run(cfg, PhasePair(phi, ns.phi_i), workers=ns.workers, point=k)
-        for k, phi in enumerate(phi_s)
-    ]
+    phases = [PhasePair(phi, ns.phi_i) for phi in phi_s]
+    counts = simulate_fringe_sweep(cfg, phases, workers=ns.workers)
     _write_csv(out_dir / "fringe.csv", ["phi_s", "coincidences"], zip(phi_s, counts))
     outputs = ["fringe.csv"]
     status = 0
@@ -359,7 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# numpy's BLAS thread-count variables (OpenBLAS, OpenMP and MKL builds).
+# Nothing here calls BLAS, so a command keeps numpy from starting an idle
+# thread pool unless the user has set them.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
+    for name in BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)

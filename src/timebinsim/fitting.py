@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import atan2, cos, fsum, hypot, inf, isfinite, isqrt, pi, sin
 
 from .analytic import car_closed_form, pump_power_for_mu
-from .montecarlo import CarEstimate, estimate_car, simulate_car_run
+from .montecarlo import CarEstimate, CoincidenceHistogram, _sweep_counts, estimate_car
 from .params import ExperimentConfig, symmetrized_detection
 
 
@@ -243,23 +243,27 @@ def car_curve(
     Each row re-solves the pump power for its mu, evaluates the closed form
     with the symmetrized detection parameters (geometric-mean alpha, mean
     dark), and runs the histogram simulation at that power as sweep point
-    i, so rows draw independent yet reproducible streams.
+    i, so rows draw independent yet reproducible streams. Every row's run
+    is folded on one pool.
     """
     alpha_sym, dark_mean = symmetrized_detection(cfg)
-    rows = []
-    for i, mu in enumerate(mu_values):
-        power = pump_power_for_mu(mu, cfg.source)
-        analytic = car_closed_form(mu, cfg.source, alpha_sym, dark_mean)
-        cfg_row = replace(
+    mu_values = list(mu_values)
+    cfg_rows = [
+        replace(
             cfg,
-            source=replace(cfg.source, peak_power_w=power),
+            source=replace(cfg.source, peak_power_w=pump_power_for_mu(mu, cfg.source)),
             interferometers_present=False,
         )
-        est: CarEstimate = estimate_car(simulate_car_run(cfg_row, workers=workers, point=i))
+        for mu in mu_values
+    ]
+    sampled = _sweep_counts([(cfg_row, i, None) for i, cfg_row in enumerate(cfg_rows)], workers)
+    rows = []
+    for mu, counts in zip(mu_values, sampled):
+        est: CarEstimate = estimate_car(CoincidenceHistogram(counts, cfg.num_pulses))
         rows.append(
             CarCurveRow(
                 mu_total=float(mu),
-                car_analytic=analytic,
+                car_analytic=car_closed_form(mu, cfg.source, alpha_sym, dark_mean),
                 car_simulated=est.car,
                 car_stderr=est.stderr,
             )

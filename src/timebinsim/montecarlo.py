@@ -39,14 +39,17 @@ held: memory is O(detections per block). The later photon of a pair seen
 one slot apart can land one slot past its block, where it is one more entry
 of a slot the next block may fill too.
 
-With several workers the run's blocks are cut into contiguous chunks, one
-per process, and each process folds its own chunk and returns the 7 delay
-counts, which the parent adds. A chunk first draws again the few blocks
-before it whose detections reach its first COINCIDENCE_WINDOW slots, only to
-build the tail it starts from, so every pair is counted in exactly one
-chunk. A chunk holds at least two blocks, so with blocks longer than
-COINCIDENCE_WINDOW the one block drawn again is at most a third of a chunk's
-work; runs of fewer than four blocks run in this process, as one chunk.
+With several workers a command opens one pool for all its points (the
+phases of a fringe sweep, the rows of a CAR curve) and sends it every
+chunk. A chunk is a contiguous run of one point's blocks; a process folds it
+and returns the 7 delay counts, and the parent adds each point's chunks.
+A point is cut into several chunks only when the command has fewer points
+than processes. A chunk first draws again the few blocks before it whose
+detections reach its first COINCIDENCE_WINDOW slots, only to build the tail
+it starts from, so every pair is counted in exactly one chunk. A chunk holds
+at least two blocks, so with blocks longer than COINCIDENCE_WINDOW the one
+block drawn again is at most a third of a chunk's work. A command with one
+chunk in all, or one process to run them, runs in this process.
 
 numpy is imported inside the functions that draw and bin, so importing this
 module, and every command that samples nothing, runs on the standard
@@ -77,9 +80,9 @@ COINCIDENCE_WINDOW = 3
 EVENTS_PER_BLOCK = 1_000_000
 # Largest block, in pulses; it bounds the peak memory of sparse runs.
 MAX_BLOCK_PULSES = 10**10
-# numpy's largest Poisson mean (POISSON_LAM_MAX in numpy.random); a stream's
-# mean over one block must not exceed it.
-POISSON_MAX = 9.223372006484771e18
+# Most expected draws a block may ask for. A block above one pulse expects at
+# most EVENTS_PER_BLOCK, so only a one-pulse block can exceed it.
+MAX_BLOCK_DRAWS = 4 * EVENTS_PER_BLOCK
 
 
 class InsufficientStatisticsError(ValueError):
@@ -150,19 +153,25 @@ def block_pulses(cfg: ExperimentConfig, sectors: tuple | None = None) -> int:
     return max(1, int(EVENTS_PER_BLOCK / rate))
 
 
+def _processes(workers: int) -> int:
+    """Processes a command may use: workers, capped by the usable cores."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(workers, cores or 1))
+
+
 def _chunks(
     cfg: ExperimentConfig, point: int, workers: int, phases: PhasePair | None = None
 ) -> list[tuple]:
-    """A run cut into contiguous chunks of its blocks, one per process: a
-    histogram run without phases, a fringe point at phases with them.
+    """A run cut into contiguous chunks of its blocks: a histogram run
+    without phases, a fringe point at phases with them.
 
     The only way into a run: the config is checked, the blocks are sized and
     the run is (seed, point, block length, pulses, stream means), whose
     block b _block draws from the key (cfg.seed, b, point). A chunk
     (run, start, first, stop) counts blocks first..stop - 1; blocks
     start..first - 1 are the earlier ones whose detections can reach block
-    first's leading COINCIDENCE_WINDOW slots. There are min(workers, usable
-    cores, blocks // 2) chunks, and at least one.
+    first's leading COINCIDENCE_WINDOW slots. There are
+    min(_processes(workers), blocks // 2) chunks, and at least one.
     """
     require_valid(cfg)
     if cfg.interferometers_present != (phases is not None):
@@ -174,31 +183,32 @@ def _chunks(
     sectors = None if phases is None else sector_probabilities(cfg.coherence_slots, phases)
     size = block_pulses(cfg, sectors)
     means = _stream_means(cfg, sectors)
-    if max(means) * size > POISSON_MAX:
+    if not sum(means) * size <= MAX_BLOCK_DRAWS:
         raise ValueError(
-            f"invalid config: source.peak_power_w must keep a stream's mean per block"
-            f" within numpy's Poisson range ({POISSON_MAX:.4g}), got {cfg.source.peak_power_w!r}"
+            f"invalid config: source.peak_power_w must keep a block's expected draws"
+            f" within {MAX_BLOCK_DRAWS:.0e}, got {cfg.source.peak_power_w!r}"
         )
     blocks = -(-cfg.num_pulses // size)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    count = max(1, min(workers, cores or 1, blocks // 2))
+    count = max(1, min(_processes(workers), blocks // 2))
     edges = [blocks * k // count for k in range(count + 1)]
     lead = COINCIDENCE_WINDOW // size + 1
     run = (cfg.seed, point, size, cfg.num_pulses, means)
     return [(run, max(0, first - lead), first, stop) for first, stop in zip(edges, edges[1:])]
 
 
-def _map(worker, chunks: list) -> list:
-    """worker(chunk) of each chunk, in order: in this process for one chunk,
-    else on a pool of one process per chunk."""
-    if len(chunks) == 1:
-        return [worker(chunks[0])]
+def _map(worker, items: list, processes: int) -> list:
+    """worker(item) of each item, in order: on a pool of
+    min(processes, len(items)) processes, or in this process when that is
+    at most one."""
+    processes = min(processes, len(items))
+    if processes <= 1:
+        return [worker(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
     import numpy  # noqa: F401  (forked workers inherit it instead of each importing it)
 
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(worker, chunks))
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        return list(pool.map(worker, items))
 
 
 def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
@@ -258,7 +268,8 @@ def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
     ascending slots with one entry per detection."""
     import numpy as np
 
-    parts = _map(_detections, _chunks(cfg, point, workers))
+    chunks = _chunks(cfg, point, workers)
+    parts = _map(_detections, chunks, len(chunks))
     return tuple(np.concatenate(slots) for slots in zip(*parts))
 
 
@@ -327,12 +338,32 @@ def _fold(chunk, collapse: bool = True) -> dict[int, int]:
     return totals
 
 
+def _sweep_counts(points: list[tuple], workers: int) -> list[dict[int, int]]:
+    """Delay counts of each (cfg, point, phases) run of one command, all
+    folded on one pool.
+
+    With P = _processes(workers), a point is cut into at most
+    ceil(P / len(points)) chunks, so it is cut at all only when there are
+    fewer points than processes. Every chunk of every point goes to one
+    pool of min(P, chunks) processes, or runs in this process when that is
+    one.
+    """
+    processes = _processes(workers)
+    share = -(-processes // max(1, len(points)))
+    plans = [_chunks(cfg, point, share, phases) for cfg, point, phases in points]
+    parts = iter(_map(_fold, [chunk for plan in plans for chunk in plan], processes))
+    sums = []
+    for plan in plans:
+        folded = [next(parts) for _ in plan]
+        sums.append({delay: sum(part[delay] for part in folded) for delay in folded[0]})
+    return sums
+
+
 def simulate_car_run(
     cfg: ExperimentConfig, workers: int = 1, *, point: int = 0
 ) -> CoincidenceHistogram:
     """Full histogram run at the config's pump power."""
-    parts = _map(_fold, _chunks(cfg, point, workers))
-    counts = {delay: sum(part[delay] for part in parts) for delay in parts[0]}
+    (counts,) = _sweep_counts([(cfg, point, None)], workers)
     return CoincidenceHistogram(counts=counts, num_pulses=cfg.num_pulses)
 
 
@@ -362,4 +393,13 @@ def simulate_fringe_run(
 ) -> int:
     """Delay-0 coincidence count at one phase setting over cfg.num_pulses:
     the delay-0 bin of the run's folded histogram."""
-    return sum(part[0] for part in _map(_fold, _chunks(cfg, point, workers, phases)))
+    return _sweep_counts([(cfg, point, phases)], workers)[0][0]
+
+
+def simulate_fringe_sweep(
+    cfg: ExperimentConfig, phase_pairs: list[PhasePair], workers: int = 1
+) -> list[int]:
+    """simulate_fringe_run at each phase setting, setting k as sweep point
+    k, with every point on one pool."""
+    points = [(cfg, k, phases) for k, phases in enumerate(phase_pairs)]
+    return [counts[0] for counts in _sweep_counts(points, workers)]

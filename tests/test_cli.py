@@ -13,7 +13,7 @@ import pytest
 
 from conftest import lossless_config, num_blocks, pairs_only_config
 from timebinsim import PhasePair, __version__, config_to_dict, default_config
-from timebinsim.cli import _linspace, main
+from timebinsim.cli import BLAS_THREAD_VARIABLES, _linspace, main
 
 # Closed-form anchors at the baseline operating point, symmetrized
 # detection; frozen from direct evaluation of the formulas.
@@ -242,6 +242,19 @@ class TestMcCar:
         assert not (out / "histogram.csv").exists()
         analytic = ["--sweep", "mu", "--start", "1e-3", "--stop", "1e-2", "--steps", "2"]
         assert main(["analytic", "--config", cfg_path, "--out-dir", str(out), *analytic]) == 0
+
+    def test_oversized_block_is_one_error_line(self, tmp_path, capsys):
+        # At 2e8 W a stream expects ~1e15 events per slot: within numpy's
+        # Poisson range, but far more than one block may draw at once.
+        cfg = default_config()
+        cfg = replace(cfg, source=replace(cfg.source, peak_power_w=2e8))
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["mc-car", "--config", cfg_path, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid config: source.peak_power_w ")
+        assert not (out / "histogram.csv").exists()
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -566,6 +579,57 @@ class TestWithoutNumpy:
             assert sorted(f.name for f in blocked.iterdir()) == files
             for file in files:
                 assert (blocked / file).read_bytes() == (normal / file).read_bytes(), (name, file)
+
+
+BLAS_RUNNER = """
+import json, os, sys
+before = dict(os.environ)
+if sys.argv[1] == "library":
+    from dataclasses import replace
+    import timebinsim
+    timebinsim.simulate_car_run(replace(timebinsim.default_config(), num_pulses=1_000_000))
+else:
+    from timebinsim.cli import main
+    assert main(["mc-car", "--out-dir", sys.argv[2], "--pulses", "10000000000"]) == 0
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+names = set(before) | set(os.environ)
+changed = {k: os.environ.get(k) for k in names if before.get(k) != os.environ.get(k)}
+print(json.dumps({"threads": threads, "changed": changed}))
+"""
+
+
+def run_blas(mode: str, tmp_path, **env) -> dict:
+    """BLAS_RUNNER in a fresh process whose BLAS variables are env only."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_RUNNER, mode, str(tmp_path / "out")],
+        env={**base, **env},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestBlasThreads:
+    """A sampling command starts no BLAS thread pool; library calls leave
+    the environment alone."""
+
+    def test_sampling_command_runs_one_thread(self, tmp_path):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads")
+        result = run_blas("cli", tmp_path)
+        assert result["threads"] == 1
+        assert result["changed"] == dict.fromkeys(BLAS_THREAD_VARIABLES, "1")
+
+    def test_user_setting_is_kept(self, tmp_path):
+        result = run_blas("cli", tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert result["changed"] == {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    def test_library_call_leaves_environment_unchanged(self, tmp_path):
+        assert run_blas("library", tmp_path)["changed"] == {}
 
 
 class TestEntryPoints:

@@ -2,6 +2,7 @@
 fringe counts checked against the closed forms and the sector probabilities."""
 
 import concurrent.futures
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -100,6 +101,35 @@ class TestBlocks:
         assert block_pulses(dead) == MAX_BLOCK_PULSES
 
 
+class FakePool:
+    """Records each pool's size and the items mapped on it, and maps in this
+    process; starts no process."""
+
+    opened: list = []
+
+    def __init__(self, max_workers):
+        self.items = []
+        FakePool.opened.append((max_workers, self.items))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        self.items.extend(items)
+        return map(fn, self.items)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """The pools opened while the test runs, as (size, items mapped)."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "opened", [])
+    return FakePool.opened
+
+
 class TestDispatch:
     @pytest.mark.parametrize(
         "workers, blocks, cores, size",
@@ -114,29 +144,12 @@ class TestDispatch:
             (5000, 10, 1, None),
         ],
     )
-    def test_pool_capped_by_blocks_and_cores(self, monkeypatch, workers, blocks, cores, size):
+    def test_pool_capped_by_blocks_and_cores(
+        self, monkeypatch, fake_pool, workers, blocks, cores, size
+    ):
         # The host has 8 cores and the process may run on `cores` of them;
         # None is a platform without affinity whose cpu_count() is unknown.
         # A pool has one process per chunk, and a chunk at least two blocks.
-        sizes = []
-
-        class FakePool:
-            """Records the pool size and maps in this process; starts no
-            process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None if cores is None else 8)
         if cores is None:
@@ -144,17 +157,74 @@ class TestDispatch:
         else:
             affinity = lambda pid: set(range(cores))
             monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
-        chunks = montecarlo._chunks(lossless_config(4e-3, 40 * blocks - 3), 0, workers)
+        cfg = lossless_config(4e-3, 40 * blocks - 3)
+        chunks = montecarlo._chunks(cfg, 0, workers)
         # Contiguous chunks cover every block once; each draws again from
         # the first earlier block whose detections reach its first slots.
         assert [first for _, _, first, _ in chunks] == [0] + [stop for *_, stop in chunks[:-1]]
         assert chunks[-1][3] == blocks
         assert [chunk[1] for chunk in chunks] == [max(0, chunk[2] - 1) for chunk in chunks]
         assert len(chunks) == (size or 1)
-        assert montecarlo._map(abs, [-1] * len(chunks)) == [1] * len(chunks)
+        simulate_car_run(cfg, workers)
         # cpu_count() None counts as one core, and one chunk needs no pool:
         # serial, no pool at all.
-        assert sizes == ([] if size is None else [size])
+        assert [(pool_size, items) for pool_size, items in fake_pool] == (
+            [] if size is None else [(size, chunks)]
+        )
+
+    @pytest.mark.parametrize("workers, cores", [(2, 2), (3, 4), (5000, 3)])
+    def test_fringe_command_opens_one_pool(
+        self, monkeypatch, fake_pool, tmp_path, workers, cores
+    ):
+        # 16 points of 10 blocks each and P = min(workers, cores) <= 16
+        # processes: one pool of P processes takes every point as one whole
+        # chunk, so no block is drawn twice.
+        from timebinsim.cli import main
+
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
+        affinity = lambda pid: set(range(cores))
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
+        drawn = []
+        block = montecarlo._block
+        monkeypatch.setattr(montecarlo, "_block", lambda run, b: drawn.append(b) or block(run, b))
+        cfg = lossless_config(4e-3, 400, interferometers=True)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(timebinsim.config_to_dict(cfg)))
+        args = ["mc-fringe", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        assert main([*args, "--steps", "16", "--workers", str(workers)]) in (0, 1)
+        ((size, chunks),) = fake_pool
+        assert size == min(workers, cores)
+        assert [(run[1], start, first, stop) for run, start, first, stop in chunks] == [
+            (k, 0, 0, 10) for k in range(16)
+        ]
+        assert drawn == list(range(10)) * 16
+
+    def test_fewer_points_than_processes_are_cut(self, monkeypatch, fake_pool):
+        # 2 points of 10 blocks on 5 processes: each is cut into
+        # ceil(5 / 2) = 3 chunks, and the 6 chunks share one pool of 5.
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
+        affinity = lambda pid: set(range(5))
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
+        cfg = lossless_config(4e-3, 400, interferometers=True)
+        phases = [PhasePair(0.0, 0.0), PhasePair(1.0, 0.0)]
+        counts = montecarlo.simulate_fringe_sweep(cfg, phases, workers=5000)
+        ((size, chunks),) = fake_pool
+        assert size == 5
+        assert [(run[1], first, stop) for run, _, first, stop in chunks] == [
+            (0, 0, 3), (0, 3, 6), (0, 6, 10), (1, 0, 3), (1, 3, 6), (1, 6, 10)
+        ]
+        assert counts == [simulate_fringe_run(cfg, p, point=k) for k, p in enumerate(phases)]
+
+    def test_one_worker_opens_no_pool(self, monkeypatch, fake_pool, tmp_path):
+        from timebinsim.cli import main
+
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
+        cfg = lossless_config(4e-3, 400, interferometers=True)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(timebinsim.config_to_dict(cfg)))
+        args = ["mc-fringe", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        assert main([*args, "--steps", "16", "--workers", "1"]) in (0, 1)
+        assert fake_pool == []
 
 
 class TestReproducibility:
@@ -216,6 +286,22 @@ class TestReproducibility:
             parallel_signal, parallel_idler = detected_counts(cfg, workers)
             assert np.array_equal(parallel_signal, signal)
             assert np.array_equal(parallel_idler, idler)
+
+    def test_worker_count_is_invisible_across_sweep_points(self, monkeypatch):
+        # Eleven 20-pulse blocks per point on one pool: 6 points at 1 chunk
+        # each, split unevenly over 2 or 3 processes, and 2 points cut into
+        # 2 chunks each at 3 processes. Each point's count is that of its
+        # own run in this process.
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 20)
+        affinity = lambda pid: {0, 1, 2}
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
+        cfg = pairs_only_config(8.0, 5, 10 * 20 + 3)
+        phases = [PhasePair(2.0 * math.pi * k / 6, 0.4) for k in range(6)]
+        serial = [simulate_fringe_run(cfg, p, point=k) for k, p in enumerate(phases)]
+        assert len(set(serial)) > 1
+        for workers in (1, 2, 3):
+            assert montecarlo.simulate_fringe_sweep(cfg, phases, workers) == serial
+        assert montecarlo.simulate_fringe_sweep(cfg, phases[:2], 3) == serial[:2]
 
     def test_point_zero_block_streams_are_seed_and_block(self, monkeypatch):
         # The documented contract: block b of a single run (point 0) draws
