@@ -20,18 +20,18 @@ from .analytic import (
     pump_power_for_mu,
 )
 from .fitting import (
-    CarCurveRow,
     FringeFit,
     ScalingFit,
-    car_curve,
     fit_fringe,
     fit_scaling,
     proportional_fit,
 )
 from .montecarlo import (
+    CarCurveRow,
     CarEstimate,
     CoincidenceHistogram,
     InsufficientStatisticsError,
+    car_curve,
     estimate_car,
     simulate_car_run,
     simulate_fringe_run,
@@ -65,16 +65,16 @@ __all__ = [
     "mu_noise",
     "predicted_visibility",
     "pump_power_for_mu",
-    "CarCurveRow",
     "FringeFit",
     "ScalingFit",
-    "car_curve",
     "fit_fringe",
     "fit_scaling",
     "proportional_fit",
+    "CarCurveRow",
     "CarEstimate",
     "CoincidenceHistogram",
     "InsufficientStatisticsError",
+    "car_curve",
     "estimate_car",
     "simulate_car_run",
     "simulate_fringe_run",

@@ -2,11 +2,14 @@
 
 Four subcommands: `analytic` (closed-form sweeps), `mc-car` (histogram run
 plus coincidence-ratio estimate), `mc-fringe` (phase sweep plus visibility
-fit), `fit` (re-fit a CSV produced here or elsewhere). Every run writes its
-outputs into --out-dir together with a manifest recording the semantic
-invocation: config hash, seed, and the flags that affect the numbers.
-Location (--out-dir) and execution detail (--workers) are left out of the
-manifest so a re-run reproduces every file byte for byte.
+fit), `fit` (re-fit a CSV produced here or elsewhere). A command computes
+every output first and only then writes --out-dir, in _write, so a command
+that fails creates nothing. The outputs come with a manifest recording the
+semantic invocation: config hash, seed, and the flags that affect the
+numbers. Location (--out-dir) and execution detail (--workers) are left out
+of the manifest so a re-run reproduces every file byte for byte. The
+`error` JSON of a starved mc-car or a failed fringe fit is written but not
+listed in the manifest.
 
 CSV files carry a header row and LF line endings; JSON outputs are single
 objects with sorted keys.
@@ -17,11 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -50,18 +54,6 @@ from .params import (
 from .quantum import PhasePair
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced the files in this directory, minus where and how fast."""
-
-    tool_version: str
-    command: str
-    arguments: dict
-    config_hash: str
-    seed: int
-    outputs: list[str]
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
     canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
@@ -75,31 +67,45 @@ def load_config(path: str | None) -> ExperimentConfig:
         return config_from_dict(json.load(fh))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv(header: list[str], rows) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _finish(
-    out_dir: Path, command: str, arguments: dict, cfg: ExperimentConfig, outputs: list[str]
+def _write(
+    out_dir: str,
+    command: str,
+    arguments: dict,
+    cfg: ExperimentConfig,
+    files: dict[str, str],
+    reports: dict[str, str] | None = None,
 ) -> None:
-    manifest = RunManifest(
-        tool_version=__version__,
-        command=command,
-        arguments=arguments,
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        outputs=outputs,
-    )
-    _write_json(out_dir / "manifest.json", asdict(manifest))
+    """Create out_dir and write each file's text, then manifest.json.
+
+    files are the outputs the manifest lists; reports, the error JSON
+    written in place of an output, follow them unlisted. Every command
+    calls this once, as its last step.
+    """
+    manifest = {
+        "tool_version": __version__,
+        "command": command,
+        "arguments": arguments,
+        "config_hash": config_hash(cfg),
+        "seed": cfg.seed,
+        "outputs": list(files),
+    }
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in {**files, **(reports or {}), "manifest.json": _json(manifest)}.items():
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _finite_float(token: str | None) -> float:
@@ -135,7 +141,7 @@ def _linspace(start: float, stop: float, steps: int) -> list[float]:
     return values
 
 
-def _prepare(ns) -> tuple[ExperimentConfig, Path]:
+def _prepare(ns) -> ExperimentConfig:
     cfg = load_config(ns.config)
     if getattr(ns, "seed", None) is not None:
         cfg = replace(cfg, seed=ns.seed)
@@ -144,9 +150,7 @@ def _prepare(ns) -> tuple[ExperimentConfig, Path]:
     require_valid(cfg)
     if getattr(ns, "workers", 1) < 1:
         raise ValueError("--workers must be >= 1")
-    out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
+    return cfg
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +159,7 @@ def _prepare(ns) -> tuple[ExperimentConfig, Path]:
 
 def cmd_analytic(ns) -> int:
     """Closed-form sweep: means, coincidence ratio, predicted visibility."""
-    cfg, out_dir = _prepare(ns)
+    cfg = _prepare(ns)
     if ns.steps < 1:
         raise ValueError("--steps must be >= 1")
     if ns.start <= 0 or ns.stop <= 0:
@@ -195,72 +199,57 @@ def cmd_analytic(ns) -> int:
                 )
         rows.append(row)
 
-    _write_csv(out_dir / "sweep.csv", header, rows)
-    _finish(
-        out_dir,
+    _write(
+        ns.out_dir,
         "analytic",
         {"sweep": ns.sweep, "start": ns.start, "stop": ns.stop, "steps": ns.steps},
         cfg,
-        ["sweep.csv"],
+        {"sweep.csv": _csv(header, rows)},
     )
     return 0
 
 
 def cmd_mc_car(ns) -> int:
     """Histogram run at the config's operating point, with the estimate."""
-    cfg, out_dir = _prepare(ns)
+    cfg = _prepare(ns)
     hist = simulate_car_run(cfg, workers=ns.workers)
     rows = [[delay, hist.counts[delay]] for delay in sorted(hist.counts)]
-    _write_csv(out_dir / "histogram.csv", ["delay", "counts"], rows)
-    outputs = ["histogram.csv"]
-    status = 0
+    files = {"histogram.csv": _csv(["delay", "counts"], rows)}
+    reports = {}
     try:
         est = estimate_car(hist)
-        _write_json(
-            out_dir / "car.json",
+        files["car.json"] = _json(
             {
                 "car": est.car,
                 "stderr": est.stderr,
                 "delay_zero_counts": hist.counts[0],
                 "accidental_total": hist.accidental_total,
                 "num_pulses": hist.num_pulses,
-            },
+            }
         )
-        outputs.append("car.json")
     except InsufficientStatisticsError as exc:
-        _write_json(out_dir / "car.json", {"error": str(exc)})
-        status = 1
-    _finish(out_dir, "mc-car", {"pulses": cfg.num_pulses}, cfg, outputs)
-    return status
+        reports["car.json"] = _json({"error": str(exc)})
+    _write(ns.out_dir, "mc-car", {"pulses": cfg.num_pulses}, cfg, files, reports)
+    return 1 if reports else 0
 
 
 def cmd_mc_fringe(ns) -> int:
     """Phase sweep of delay-0 coincidences, then the visibility fit."""
     if ns.steps < 4:
         raise ValueError("--steps must be >= 4 for a fringe sweep")
-    cfg, out_dir = _prepare(ns)
-    cfg = replace(cfg, interferometers_present=True)
+    cfg = replace(_prepare(ns), interferometers_present=True)
     phi_s = [2.0 * math.pi * k / ns.steps for k in range(ns.steps)]
     phases = [PhasePair(phi, ns.phi_i) for phi in phi_s]
     counts = simulate_fringe_sweep(cfg, phases, workers=ns.workers)
-    _write_csv(out_dir / "fringe.csv", ["phi_s", "coincidences"], zip(phi_s, counts))
-    outputs = ["fringe.csv"]
-    status = 0
+    files = {"fringe.csv": _csv(["phi_s", "coincidences"], zip(phi_s, counts))}
+    reports = {}
     try:
-        fit = fit_fringe(phi_s, counts)
-        _write_json(out_dir / "fringe_fit.json", asdict(fit))
-        outputs.append("fringe_fit.json")
+        files["fringe_fit.json"] = _json(asdict(fit_fringe(phi_s, counts)))
     except ValueError as exc:
-        _write_json(out_dir / "fringe_fit.json", {"error": str(exc)})
-        status = 1
-    _finish(
-        out_dir,
-        "mc-fringe",
-        {"pulses": cfg.num_pulses, "steps": ns.steps, "phi_i": ns.phi_i},
-        cfg,
-        outputs,
-    )
-    return status
+        reports["fringe_fit.json"] = _json({"error": str(exc)})
+    arguments = {"pulses": cfg.num_pulses, "steps": ns.steps, "phi_i": ns.phi_i}
+    _write(ns.out_dir, "mc-fringe", arguments, cfg, files, reports)
+    return 1 if reports else 0
 
 
 def _read_csv_columns(path: str, required: list[str]) -> dict[str, list[float]]:
@@ -287,7 +276,7 @@ def _read_csv_columns(path: str, required: list[str]) -> dict[str, list[float]]:
 
 def cmd_fit(ns) -> int:
     """Re-fit a data CSV: fringe visibility or power-scaling coefficients."""
-    cfg, out_dir = _prepare(ns)
+    cfg = _prepare(ns)
     if ns.model == "fringe":
         data = _read_csv_columns(ns.data, ["phi_s", "coincidences"])
         fit = fit_fringe(data["phi_s"], data["coincidences"])
@@ -302,8 +291,8 @@ def cmd_fit(ns) -> int:
             data["mu_noise_idler"],
             cfg.source.bandwidth_time_product,
         )
-    _write_json(out_dir / "fit.json", asdict(fit))
-    _finish(out_dir, "fit", {"model": ns.model, "data": Path(ns.data).name}, cfg, ["fit.json"])
+    arguments = {"model": ns.model, "data": Path(ns.data).name}
+    _write(ns.out_dir, "fit", arguments, cfg, {"fit.json": _json(asdict(fit))})
     return 0
 
 

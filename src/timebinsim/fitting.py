@@ -1,5 +1,5 @@
-"""Estimators for simulated and measured data: fringe visibility, power
-scaling of the pair and noise yields, coincidence-ratio curves.
+"""Estimators for simulated and measured data: fringe visibility and power
+scaling of the pair and noise yields.
 
 The fringe fit is deliberately linear. A sinusoid with unknown amplitude,
 phase and offset is y = A + B cos(phi) + C sin(phi), so weighted normal
@@ -17,13 +17,9 @@ above 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import atan2, cos, fsum, hypot, inf, isfinite, isqrt, pi, sin
-
-from .analytic import car_closed_form, pump_power_for_mu
-from .montecarlo import CarEstimate, CoincidenceHistogram, _sweep_counts, estimate_car
-from .params import ExperimentConfig, symmetrized_detection
 
 
 @dataclass(frozen=True)
@@ -56,14 +52,6 @@ class ScalingFit:
     r2_pairs: float
     r2_noise_signal: float
     r2_noise_idler: float
-
-
-@dataclass(frozen=True)
-class CarCurveRow:
-    mu_total: float
-    car_analytic: float
-    car_simulated: float
-    car_stderr: float
 
 
 def _vectors(names: str, *columns) -> list[list[float]]:
@@ -233,39 +221,3 @@ def fit_scaling(
         r2_noise_signal=r2_s,
         r2_noise_idler=r2_i,
     )
-
-
-def car_curve(
-    cfg: ExperimentConfig, mu_values, workers: int = 1
-) -> list[CarCurveRow]:
-    """Analytic and simulated coincidence ratio across channel-mean values.
-
-    Each row re-solves the pump power for its mu, evaluates the closed form
-    with the symmetrized detection parameters (geometric-mean alpha, mean
-    dark), and runs the histogram simulation at that power as sweep point
-    i, so rows draw independent yet reproducible streams. Every row's run
-    is folded on one pool.
-    """
-    alpha_sym, dark_mean = symmetrized_detection(cfg)
-    mu_values = list(mu_values)
-    cfg_rows = [
-        replace(
-            cfg,
-            source=replace(cfg.source, peak_power_w=pump_power_for_mu(mu, cfg.source)),
-            interferometers_present=False,
-        )
-        for mu in mu_values
-    ]
-    sampled = _sweep_counts([(cfg_row, i, None) for i, cfg_row in enumerate(cfg_rows)], workers)
-    rows = []
-    for mu, counts in zip(mu_values, sampled):
-        est: CarEstimate = estimate_car(CoincidenceHistogram(counts, cfg.num_pulses))
-        rows.append(
-            CarCurveRow(
-                mu_total=float(mu),
-                car_analytic=car_closed_form(mu, cfg.source, alpha_sym, dark_mean),
-                car_simulated=est.car,
-                car_stderr=est.stderr,
-            )
-        )
-    return rows

@@ -11,7 +11,9 @@ is a delay histogram of click pairs:
   coincidence-to-accidental estimate;
 * a fringe point (one phase setting) is the delay-0 bin of the same folded
   histogram. Multi-pair accidentals and the +-1-slot satellite peaks come
-  out of the sampler, at any pair mean.
+  out of the sampler, at any pair mean;
+* a coincidence-ratio curve (car_curve) runs one histogram per channel
+  mean and sets each estimate beside its closed form.
 
 Work scales with detections, not pulses. A stream is a Poisson total at
 uniform slots, i.e. an independent Poisson count per slot; thinning splits
@@ -65,11 +67,11 @@ multi-photon contribution.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import log1p, sqrt
 
-from .analytic import PairStatistics
-from .params import ExperimentConfig, arm_detection, require_valid
+from .analytic import PairStatistics, car_closed_form, pump_power_for_mu
+from .params import ExperimentConfig, arm_detection, require_valid, symmetrized_detection
 from .quantum import PhasePair, sector_probabilities
 
 # Accidental window: delays -3..+3 around the true-coincidence bin.
@@ -110,6 +112,14 @@ class CoincidenceHistogram:
 class CarEstimate:
     car: float
     stderr: float
+
+
+@dataclass(frozen=True)
+class CarCurveRow:
+    mu_total: float
+    car_analytic: float
+    car_simulated: float
+    car_stderr: float
 
 
 def _stream_means(cfg: ExperimentConfig, sectors: tuple | None = None) -> tuple[float, ...]:
@@ -403,3 +413,39 @@ def simulate_fringe_sweep(
     k, with every point on one pool."""
     points = [(cfg, k, phases) for k, phases in enumerate(phase_pairs)]
     return [counts[0] for counts in _sweep_counts(points, workers)]
+
+
+def car_curve(
+    cfg: ExperimentConfig, mu_values, workers: int = 1
+) -> list[CarCurveRow]:
+    """Analytic and simulated coincidence ratio across channel-mean values.
+
+    Each row re-solves the pump power for its mu, evaluates the closed form
+    with the symmetrized detection parameters (geometric-mean alpha, mean
+    dark), and runs the histogram simulation at that power as sweep point
+    i, so rows draw independent yet reproducible streams. Every row's run
+    is folded on one pool.
+    """
+    alpha_sym, dark_mean = symmetrized_detection(cfg)
+    mu_values = list(mu_values)
+    cfg_rows = [
+        replace(
+            cfg,
+            source=replace(cfg.source, peak_power_w=pump_power_for_mu(mu, cfg.source)),
+            interferometers_present=False,
+        )
+        for mu in mu_values
+    ]
+    sampled = _sweep_counts([(cfg_row, i, None) for i, cfg_row in enumerate(cfg_rows)], workers)
+    rows = []
+    for mu, counts in zip(mu_values, sampled):
+        est = estimate_car(CoincidenceHistogram(counts, cfg.num_pulses))
+        rows.append(
+            CarCurveRow(
+                mu_total=float(mu),
+                car_analytic=car_closed_form(mu, cfg.source, alpha_sym, dark_mean),
+                car_simulated=est.car,
+                car_stderr=est.stderr,
+            )
+        )
+    return rows

@@ -71,7 +71,20 @@ class TestAnalytic:
             "--start", start, "--stop", stop, "--steps", "2",
         ]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: --sweep {sweep} value {shown}"]
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
+
+    def test_unusable_out_dir_is_one_error_line(self, tmp_path, capsys):
+        # A regular file where the directory should go.
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main([
+            "analytic", "--out-dir", str(out),
+            "--sweep", "mu", "--start", "1e-3", "--stop", "1e-3", "--steps", "1",
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert out.read_text() == "kept\n"
 
     def test_dfdt_sweep_holds_operating_mu(self, tmp_path):
         out = tmp_path / "out"
@@ -116,10 +129,11 @@ class TestAnalytic:
         out = tmp_path / "out"
         base = ["analytic", "--out-dir", str(out), "--sweep", "mu"]
         assert main(base + ["--start", "1e-3", "--stop", "1e-2", "--steps", "0"]) == 1
-        assert "--steps" in capsys.readouterr().err
-        # Equals form: argparse would read a bare "-1e-3" as a flag.
-        assert main(base + ["--start=-1e-3", "--stop", "1e-2", "--steps", "3"]) == 1
-        assert "positive" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == ["error: --steps must be >= 1"]
+        # Equals form: argparse would read a bare "-1" as a flag.
+        assert main(base + ["--start=-1", "--stop", "1e-2", "--steps", "3"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: sweep range must be positive"]
+        assert not out.exists()
 
 
 class TestMcCar:
@@ -192,10 +206,12 @@ class TestMcCar:
             idler=replace(cfg.idler, dark_rate_hz=-1.0),
         )
         cfg_path = write_config(tmp_path, cfg)
-        assert main(["mc-car", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 1
+        out = tmp_path / "o"
+        assert main(["mc-car", "--config", cfg_path, "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert "detector_efficiency" in err
         assert "dark_rate_hz" in err
+        assert not out.exists()
 
     def test_config_error_is_one_line(self, tmp_path, capsys):
         # Only a flag argparse cannot parse gets its usage block and exit 2.
@@ -239,7 +255,7 @@ class TestMcCar:
         assert len(err) == 1
         assert err[0].startswith("error: invalid config: source.peak_power_w ")
         assert err[0].endswith(", got 1e+150")
-        assert not (out / "histogram.csv").exists()
+        assert not out.exists()
         analytic = ["--sweep", "mu", "--start", "1e-3", "--stop", "1e-2", "--steps", "2"]
         assert main(["analytic", "--config", cfg_path, "--out-dir", str(out), *analytic]) == 0
 
@@ -254,7 +270,7 @@ class TestMcCar:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: invalid config: source.peak_power_w ")
-        assert not (out / "histogram.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -437,13 +453,13 @@ class TestFit:
     def test_missing_columns_are_named(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("phi,counts\n0.0,1\n")
-        assert main([
-            "fit", "--model", "fringe", "--data", str(data),
-            "--out-dir", str(tmp_path / "o"),
-        ]) == 1
+        out = tmp_path / "o"
+        assert main(["fit", "--model", "fringe", "--data", str(data), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert "missing columns" in err
         assert "phi_s" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "body, where, cell",
@@ -461,7 +477,7 @@ class TestFit:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines() == [f"error: {data}: {where}: expected a finite number, got {cell}"]
-        assert not (out / "fit.json").exists()
+        assert not out.exists()
 
     def test_overflowing_power_is_one_error_line(self, tmp_path, capsys):
         data = tmp_path / "scaling.csv"
@@ -474,7 +490,7 @@ class TestFit:
         assert capsys.readouterr().err.splitlines() == [
             "error: power_w must keep p^2 F finite, got a power of 1e+200"
         ]
-        assert not (out / "fit.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("power", [1e100, 1.3e77], ids=["square-overflows", "sum-overflows"])
     def test_overflowing_fit_sums_are_one_error_line(self, tmp_path, capsys, power):
@@ -489,14 +505,18 @@ class TestFit:
         assert capsys.readouterr().err.splitlines() == [
             "error: power_w and mu_pairs overflow the sums of the least-squares fit"
         ]
-        assert not (out / "fit.json").exists()
+        assert not out.exists()
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
         assert main([
             "fit", "--model", "fringe", "--data", str(tmp_path / "nope.csv"),
-            "--out-dir", str(tmp_path / "o"),
+            "--out-dir", str(out),
         ]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert not out.exists()
 
 
 # Runs each argv list through cli.main in a fresh interpreter, with numpy

@@ -215,6 +215,19 @@ class TestDispatch:
         ]
         assert counts == [simulate_fringe_run(cfg, p, point=k) for k, p in enumerate(phases)]
 
+    def test_car_curve_opens_one_pool(self, monkeypatch, fake_pool):
+        # Three rows of one block each on two processes: one pool of two
+        # folds every row, and the rows match a serial curve.
+        affinity = lambda pid: set(range(2))
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
+        cfg = lossless_config(1e-3, 200_000, seed=100, dark_rate_hz=2e5)
+        three_mus = [5e-3, 1e-2, 2e-2]
+        pooled = montecarlo.car_curve(cfg, three_mus, workers=2)
+        ((size, chunks),) = fake_pool
+        assert size == 2
+        assert [run[1] for run, *_ in chunks] == [0, 1, 2]
+        assert pooled == montecarlo.car_curve(cfg, three_mus, workers=1)
+
     def test_one_worker_opens_no_pool(self, monkeypatch, fake_pool, tmp_path):
         from timebinsim.cli import main
 
