@@ -64,7 +64,11 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return default_config()
     with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
+    return config_from_dict(data)
 
 
 def _csv(header: list[str], rows) -> str:

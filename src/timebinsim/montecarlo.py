@@ -34,12 +34,14 @@ point 0, and SeedSequence pads its entropy with zeros, so its block b draws
 from default_rng((seed, b)). Output is a pure function of (config, seed,
 point) no matter how many workers run it.
 
-The delay histogram is folded block by block. Each channel's detections in
-the last COINCIDENCE_WINDOW slots are carried into the next block, so a pair
-across a block edge is counted once and no run-length detection list is
-held: memory is O(detections per block). The later photon of a pair seen
-one slot apart can land one slot past its block, where it is one more entry
-of a slot the next block may fill too.
+The delay histogram is folded block by block, and no block is held twice.
+Each channel's entries in the last COINCIDENCE_WINDOW slots, the tail, are
+copied out and joined to the next block, so a pair across a block edge is
+counted once and no run-length detection list is held: memory is
+O(detections per block). The later photon of a pair seen one slot apart can
+land one slot past its block, in a slot the next block may fill too. The
+clicks are taken once per block, as the distinct slots of each joined
+channel, so that slot is one click.
 
 With several workers a command opens one pool for all its points (the
 phases of a fringe sweep, the rows of a CAR curve) and sends it every
@@ -59,8 +61,8 @@ library.
 
 Detectors are threshold detectors: any number of photons in one slot
 collapses to a single click, so the recorded histogram needs only the
-distinct slots. The uncollapsed histogram, which counts every detection
-pair, is exposed for diagnostics, since comparing the two bounds the
+distinct slots. histogram_from_counts of a run's raw detections counts every
+detection pair instead, for diagnostics, since comparing the two bounds the
 multi-photon contribution.
 """
 
@@ -283,23 +285,18 @@ def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
     return tuple(np.concatenate(slots) for slots in zip(*parts))
 
 
-def histogram_from_counts(
-    signal, idler, num_pulses: int, collapse: bool = True
-) -> CoincidenceHistogram:
-    """Delay histogram of click pairs from each channel's ascending slots,
-    one entry per detection.
+def histogram_from_counts(signal, idler) -> dict[int, int]:
+    """Counts by delay (idler entry minus signal entry) of every entry pair
+    within COINCIDENCE_WINDOW of two ascending slot arrays.
 
-    With collapse=True (the physical detectors) a slot contributes at most
-    one click per channel; collapse=False counts every detection pair and
-    can only be larger, bin by bin. The windows are walked, not listed:
-    pass k bins every idler entry against the k-th signal entry of its
-    window and drops the entries whose window is spent, so memory is
-    O(entries) and the passes are as many as the fullest window's entries.
+    Pass distinct slots to count click pairs, or one entry per detection to
+    count every detection pair. The windows are walked, not listed: pass k
+    bins every idler entry against the k-th signal entry of its window and
+    drops the entries whose window is spent, so memory is O(entries) and the
+    passes are as many as the fullest window's entries.
     """
     import numpy as np
 
-    if collapse:
-        signal, idler = _distinct(signal), _distinct(idler)
     window = COINCIDENCE_WINDOW
     # Signal entries within the window of each idler entry: [at, last).
     at = np.searchsorted(signal, idler - window)
@@ -310,22 +307,22 @@ def histogram_from_counts(
         idler, at, last = idler[live], at[live], last[live]
         binned += np.bincount(idler - signal[at] + window, minlength=2 * window + 1)
         at += 1
-    counts = {delay: int(binned[delay + window]) for delay in range(-window, window + 1)}
-    return CoincidenceHistogram(counts=counts, num_pulses=num_pulses)
+    return {delay: int(binned[delay + window]) for delay in range(-window, window + 1)}
 
 
 def _fold(chunk, collapse: bool = True) -> dict[int, int]:
     """Delay counts of the pairs whose later-drawn detection is in one of a
-    chunk's counted blocks.
+    chunk's counted blocks: click pairs with collapse, else every detection
+    pair.
 
-    The tail, each channel's detections from COINCIDENCE_WINDOW slots before
+    The tail, each channel's entries from COINCIDENCE_WINDOW slots before
     the next block's first slot on, rides into the next block. Adding the
     histogram of tail + block and subtracting the tail's own counts every
     pair within the block or across its leading edge exactly once. A later
     photon that spilled past the previous block is in the tail, and the
-    block may fill its slot too: joined, that slot simply appears more than
-    once, which both histograms read as one click or as several detections.
-    The blocks before the first counted one only build its tail.
+    block may fill its slot too. With collapse, each joined channel is cut
+    to its distinct slots once, so the tail is already a click set. The
+    blocks before the first counted one only build its tail.
     """
     import numpy as np
 
@@ -334,17 +331,19 @@ def _fold(chunk, collapse: bool = True) -> dict[int, int]:
     empty = np.empty(0, dtype=np.int64)
     tail = (empty, empty)
     for b in range(start, stop):
-        end, block = _block(run, b)
-        # One entry per clicked slot from here on, and the raw block is freed.
+        end, raw = _block(run, b)
+        joined = [np.concatenate(pair) for pair in zip(tail, raw)]
+        del raw  # freed before the histograms run
         if collapse:
-            block = [_distinct(slots) for slots in block]
-        joined = [np.concatenate(pair) for pair in zip(tail, block)]
+            joined = [_distinct(slots) for slots in joined]
         if b >= first:
-            added = histogram_from_counts(*joined, 0, collapse).counts
-            counted = histogram_from_counts(*tail, 0, collapse).counts
+            added = histogram_from_counts(*joined)
+            counted = histogram_from_counts(*tail)
             for delay in totals:
                 totals[delay] += added[delay] - counted[delay]
-        tail = [slots[np.searchsorted(slots, end - COINCIDENCE_WINDOW) :] for slots in joined]
+        # Copies, so that no view keeps this block alive while the next is drawn.
+        tail = [s[np.searchsorted(s, end - COINCIDENCE_WINDOW) :].copy() for s in joined]
+        del joined
     return totals
 
 

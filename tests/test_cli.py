@@ -272,6 +272,17 @@ class TestMcCar:
         assert err[0].startswith("error: invalid config: source.peak_power_w ")
         assert not out.exists()
 
+    def test_config_that_is_not_json_names_its_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("{\n")
+        out = tmp_path / "never"
+        assert main(["mc-car", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg_path}: Expecting property name enclosed in double quotes:"
+            " line 2 column 1 (char 2)"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

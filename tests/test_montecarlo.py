@@ -452,12 +452,11 @@ class TestHistogram:
         edges = [0, 1, 2, -3, -2, -1]
         counts_s[edges] = [1, 2, 3, 3, 2, 1]
         counts_i[edges] = [3, 1, 2, 2, 1, 3]
-        hist = histogram_from_counts(
-            events_of(counts_s), events_of(counts_i), 40, collapse=collapse
-        )
-        assert hist.counts == brute_force_histogram(counts_s, counts_i, collapse)
-        assert hist.num_pulses == 40
-        assert sorted(hist.window_delays) == [-3, -2, -1, 1, 2, 3]
+        channels = events_of(counts_s), events_of(counts_i)
+        if collapse:
+            channels = [np.unique(slots) for slots in channels]
+        hist = histogram_from_counts(*channels)
+        assert hist == brute_force_histogram(counts_s, counts_i, collapse)
 
     @pytest.mark.parametrize("collapse", [True, False])
     def test_streamed_run_matches_whole_run_events(self, monkeypatch, collapse):
@@ -469,11 +468,13 @@ class TestHistogram:
         signal, idler = detected_counts(cfg)
         for slots in (signal, idler):
             assert {0, 1, 2, 37, 38, 39} <= set((slots % 40).tolist())
-        whole = histogram_from_counts(signal, idler, cfg.num_pulses, collapse=collapse)
-        (chunk,) = montecarlo._chunks(cfg, 0, 1)
-        assert montecarlo._fold(chunk, collapse) == whole.counts
         if collapse:
-            assert simulate_car_run(cfg) == whole
+            signal, idler = np.unique(signal), np.unique(idler)
+        whole = histogram_from_counts(signal, idler)
+        (chunk,) = montecarlo._chunks(cfg, 0, 1)
+        assert montecarlo._fold(chunk, collapse) == whole
+        if collapse:
+            assert simulate_car_run(cfg) == CoincidenceHistogram(whole, cfg.num_pulses)
 
     @pytest.mark.parametrize("collapse", [True, False])
     def test_memory_scales_with_entries(self, collapse):
@@ -482,14 +483,41 @@ class TestHistogram:
         # pair would take ~200 MiB, the entries themselves ~6 MiB a channel.
         cfg = lossless_config(1.0, 2_000_000, seed=654)
         ((run, *_),) = montecarlo._chunks(cfg, 0, 1)
-        length, block = montecarlo._block(run, 0)  # block 0 ends at its length
+        _, block = montecarlo._block(run, 0)
+        if collapse:
+            block = [np.unique(slots) for slots in block]
         tracemalloc.start()
         try:
-            histogram_from_counts(*block, length, collapse=collapse)
+            histogram_from_counts(*block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            replace(default_config(), num_pulses=2 * 10**10),
+            lossless_config(1.0, 2_000_000, seed=654),
+        ],
+        ids=["paper-2-blocks", "lossless-mu-1"],
+    )
+    def test_fold_holds_one_block(self, cfg):
+        # The fold takes each block's clicks once, frees the raw block
+        # before binning it and copies the tail out, so no block is alive
+        # twice: its traced peak stays below 28 bytes per detection of the
+        # largest block, about 3.5 int64 entries.
+        (chunk,) = montecarlo._chunks(cfg, 0, 1)
+        run, start, _, stop = chunk
+        assert stop - start >= 2
+        largest = max(sum(map(len, montecarlo._block(run, b)[1])) for b in range(start, stop))
+        tracemalloc.start()
+        try:
+            montecarlo._fold(chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * largest
 
     def test_collapse_bounds_multiphoton_bins(self):
         # At half a pair per pulse, double emissions are common; the
@@ -498,11 +526,11 @@ class TestHistogram:
         cfg = replace(pairs_only_config(0.05, 1000, 200_000), interferometers_present=False)
         cfg = replace(cfg, source=replace(cfg.source, peak_power_w=pump_power_for_mu(0.5, cfg.source)))
         signal, idler = detected_counts(cfg)
-        clicked = histogram_from_counts(signal, idler, cfg.num_pulses, collapse=True)
-        raw = histogram_from_counts(signal, idler, cfg.num_pulses, collapse=False)
-        for delay in clicked.counts:
-            assert clicked.counts[delay] <= raw.counts[delay]
-        assert clicked.counts[0] < raw.counts[0]
+        clicked = histogram_from_counts(np.unique(signal), np.unique(idler))
+        raw = histogram_from_counts(signal, idler)
+        for delay in clicked:
+            assert clicked[delay] <= raw[delay]
+        assert clicked[0] < raw[0]
 
 
 class TestEstimateCar:
@@ -555,7 +583,7 @@ class TestCarAgainstClosedForm:
 
 
 class TestFringeRun:
-    def test_counts_match_amplitude_engine(self):
+    def test_counts_match_sector_probabilities(self):
         # Pure pairs with unit alpha: a delay-0 coincidence is a matched-slot
         # outcome or two pairs whose photons share a slot, so the mean count
         # is pulses * P_0 with the sector probabilities straight from
@@ -654,7 +682,8 @@ class TestFringeRun:
             np.sort(np.concatenate([block[channel] for _, block in blocks])) for channel in range(2)
         ]
         for collapse in (True, False):
-            expected = histogram_from_counts(*whole, cfg.num_pulses, collapse).counts
+            channels = [np.unique(slots) for slots in whole] if collapse else whole
+            expected = histogram_from_counts(*channels)
             for workers in (1, 2, 3):
                 chunks = montecarlo._chunks(cfg, 0, workers, phases)
                 assert len(chunks) == workers
