@@ -134,11 +134,17 @@ def fit_fringe(phases, counts) -> FringeFit:
     if clamped:
         visibility = 1.0
 
-    if amplitude > 0:
-        grad = (-amplitude / level**2, b_cos / (amplitude * level), c_sin / (amplitude * level))
-    else:
-        grad = (0.0, 1.0 / level, 1.0 / level)
-    grad = [Fraction(g) for g in grad]
+    try:
+        if amplitude > 0:
+            grad = (-amplitude / level**2, b_cos / (amplitude * level), c_sin / (amplitude * level))
+        else:
+            grad = (0.0, 1.0 / level, 1.0 / level)
+        grad = [Fraction(g) for g in grad]  # an infinite one raises OverflowError
+    except (OverflowError, ZeroDivisionError):  # level**2 overflowed, or underflowed to 0
+        raise ValueError(
+            f"coincidences must keep the squared mean level within the float range,"
+            f" got a mean level of {level:.3g}"
+        ) from None
     variance = sum(gj * cov[j][k] * gk for j, gj in enumerate(grad) for k, gk in enumerate(grad))
     visibility_error = _sqrt(max(variance, 0))
 

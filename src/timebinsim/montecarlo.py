@@ -34,14 +34,14 @@ point 0, and SeedSequence pads its entropy with zeros, so its block b draws
 from default_rng((seed, b)). Output is a pure function of (config, seed,
 point) no matter how many workers run it.
 
-The delay histogram is folded block by block, and no block is held twice.
-Each channel's entries in the last COINCIDENCE_WINDOW slots, the tail, are
-copied out and joined to the next block, so a pair across a block edge is
-counted once and no run-length detection list is held: memory is
-O(detections per block). The later photon of a pair seen one slot apart can
-land one slot past its block, in a slot the next block may fill too. The
-clicks are taken once per block, as the distinct slots of each joined
-channel, so that slot is one click.
+The delay histogram is folded block by block. Each channel's entries in
+the last COINCIDENCE_WINDOW slots, the tail, are copied out and drawn into
+the next block's one join per channel, so a pair across a block edge is
+counted once and no block is held twice. The later photon of a pair seen one
+slot apart can land one slot past its block, in a slot the next block may
+fill too. The clicks are taken once per block, as the distinct slots of each
+joined channel, so that slot is one click. The histogram bins fixed slices
+of entries, so the fold holds ~12 bytes a detection of its largest block.
 
 With several workers a command opens one pool for all its points (the
 phases of a fringe sweep, the rows of a CAR curve) and sends it every
@@ -87,6 +87,9 @@ MAX_BLOCK_PULSES = 10**10
 # Most expected draws a block may ask for. A block above one pulse expects at
 # most EVENTS_PER_BLOCK, so only a one-pulse block can exceed it.
 MAX_BLOCK_DRAWS = 4 * EVENTS_PER_BLOCK
+# Idler entries histogram_from_counts bins at a time: its temporaries stay
+# near 1.5 MiB whatever the entries, and larger slices run slower.
+HISTOGRAM_SLICE = 2**15
 
 
 class InsufficientStatisticsError(ValueError):
@@ -239,14 +242,16 @@ def _distinct(slots: np.ndarray) -> np.ndarray:
     return slots[keep]
 
 
-def _block(run: tuple, b: int):
-    """End slot and detections of block b of a run: each channel's
-    ascending run slots, one entry per detection.
+def _block(run: tuple, b: int, tail=None):
+    """End slot and detections of block b of a run joined to tail, the last
+    entries before it: each channel's ascending run slots, one entry per
+    detection.
 
     The streams are drawn in the order of _stream_means. A recorded dark is
     one detection, so each channel's darks are deduplicated before they join
     the photons. A pair seen one slot apart puts its later photon in the
-    next slot, so a block's detections span its first slot to its end.
+    next slot, so a block's detections span its first slot to its end. Each
+    channel is one join, and the signal's own streams are freed first.
     """
     import numpy as np
 
@@ -257,13 +262,18 @@ def _block(run: tuple, b: int):
     both, only_s, only_i, noise_s, noise_i, dark_s, dark_i, s_first, i_first = (
         _events(rng, n, mean) for mean in means
     )
-    signal = (both, only_s, noise_s, _distinct(np.sort(dark_s)), s_first, i_first + 1)
-    idler = (both, only_i, noise_i, _distinct(np.sort(dark_i)), s_first + 1, i_first)
-    channels = tuple(np.concatenate(part) for part in (signal, idler))
-    for slots in channels:
+    tail_s, tail_i = tail or (np.empty(0, dtype=np.int64),) * 2
+    signal = np.concatenate(
+        (tail_s - start, both, only_s, noise_s, _distinct(np.sort(dark_s)), s_first, i_first + 1)
+    )
+    del only_s, noise_s, dark_s
+    idler = np.concatenate(
+        (tail_i - start, both, only_i, noise_i, _distinct(np.sort(dark_i)), s_first + 1, i_first)
+    )
+    for slots in (signal, idler):
         slots.sort()
         slots += start
-    return start + n, channels
+    return start + n, (signal, idler)
 
 
 def _detections(chunk) -> tuple:
@@ -290,23 +300,25 @@ def histogram_from_counts(signal, idler) -> dict[int, int]:
     within COINCIDENCE_WINDOW of two ascending slot arrays.
 
     Pass distinct slots to count click pairs, or one entry per detection to
-    count every detection pair. The windows are walked, not listed: pass k
-    bins every idler entry against the k-th signal entry of its window and
-    drops the entries whose window is spent, so memory is O(entries) and the
-    passes are as many as the fullest window's entries.
+    count every detection pair. The idler is binned in slices of
+    HISTOGRAM_SLICE entries, in constant memory, and each slice's windows are
+    walked, not listed: pass k bins every entry against the k-th signal entry
+    of its window and drops the entries whose window is spent, until none is.
     """
     import numpy as np
 
     window = COINCIDENCE_WINDOW
-    # Signal entries within the window of each idler entry: [at, last).
-    at = np.searchsorted(signal, idler - window)
-    last = np.searchsorted(signal, idler + window, side="right")
     binned = np.zeros(2 * window + 1, dtype=np.int64)
-    while len(idler):
-        live = at < last
-        idler, at, last = idler[live], at[live], last[live]
-        binned += np.bincount(idler - signal[at] + window, minlength=2 * window + 1)
-        at += 1
+    for lo in range(0, len(idler), HISTOGRAM_SLICE):
+        part = idler[lo : lo + HISTOGRAM_SLICE]
+        # Signal entries within the window of each idler entry: [at, last).
+        at = np.searchsorted(signal, part - window)
+        last = np.searchsorted(signal, part + window, side="right")
+        while len(part):
+            live = at < last
+            part, at, last = part[live], at[live], last[live]
+            binned += np.bincount(part - signal[at] + window, minlength=2 * window + 1)
+            at += 1
     return {delay: int(binned[delay + window]) for delay in range(-window, window + 1)}
 
 
@@ -316,34 +328,32 @@ def _fold(chunk, collapse: bool = True) -> dict[int, int]:
     pair.
 
     The tail, each channel's entries from COINCIDENCE_WINDOW slots before
-    the next block's first slot on, rides into the next block. Adding the
-    histogram of tail + block and subtracting the tail's own counts every
-    pair within the block or across its leading edge exactly once. A later
-    photon that spilled past the previous block is in the tail, and the
-    block may fill its slot too. With collapse, each joined channel is cut
-    to its distinct slots once, so the tail is already a click set. The
-    blocks before the first counted one only build its tail.
+    the next block's first slot on, is drawn into the next block. Adding
+    the histogram of tail + block and subtracting the tail's own counts
+    every pair within the block or across its leading edge exactly once. A
+    later photon that spilled past the previous block is in the tail, and
+    the block may fill its slot too. With collapse, each joined channel in
+    turn becomes its distinct slots, so the tail is already a click set.
+    The blocks before the first counted one only build its tail.
     """
     import numpy as np
 
     run, start, first, stop = chunk
     totals = dict.fromkeys(range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1), 0)
-    empty = np.empty(0, dtype=np.int64)
-    tail = (empty, empty)
+    tail = (np.empty(0, dtype=np.int64),) * 2
     for b in range(start, stop):
-        end, raw = _block(run, b)
-        joined = [np.concatenate(pair) for pair in zip(tail, raw)]
-        del raw  # freed before the histograms run
+        end, (signal, idler) = _block(run, b, tail)
         if collapse:
-            joined = [_distinct(slots) for slots in joined]
+            signal = _distinct(signal)
+            idler = _distinct(idler)
         if b >= first:
-            added = histogram_from_counts(*joined)
+            added = histogram_from_counts(signal, idler)
             counted = histogram_from_counts(*tail)
             for delay in totals:
                 totals[delay] += added[delay] - counted[delay]
         # Copies, so that no view keeps this block alive while the next is drawn.
-        tail = [s[np.searchsorted(s, end - COINCIDENCE_WINDOW) :].copy() for s in joined]
-        del joined
+        tail = [s[np.searchsorted(s, end - COINCIDENCE_WINDOW) :].copy() for s in (signal, idler)]
+        del signal, idler
     return totals
 
 

@@ -518,6 +518,25 @@ class TestFit:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
+    def test_fringe_level_beyond_float_range_is_one_error_line(self, tmp_path, capsys, scale):
+        # The fitted mean level is finite, but its square, in the gradient
+        # of the visibility error, overflowed (or underflowed to 0 and was
+        # divided by) with a traceback.
+        data = tmp_path / "fringe.csv"
+        rows = "".join(
+            f"{2 * math.pi * k / 16!r},{scale * (1 + 0.7 * math.cos(2 * math.pi * k / 16))!r}\n"
+            for k in range(16)
+        )
+        data.write_text("phi_s,coincidences\n" + rows)
+        out = tmp_path / "o"
+        assert main(["fit", "--model", "fringe", "--data", str(data), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: coincidences must keep the squared mean level within the float range,"
+            f" got a mean level of {scale:.3g}"
+        ]
+        assert not out.exists()
+
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main([

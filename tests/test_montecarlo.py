@@ -186,7 +186,9 @@ class TestDispatch:
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         drawn = []
         block = montecarlo._block
-        monkeypatch.setattr(montecarlo, "_block", lambda run, b: drawn.append(b) or block(run, b))
+        monkeypatch.setattr(
+            montecarlo, "_block", lambda run, b, tail: drawn.append(b) or block(run, b, tail)
+        )
         cfg = lossless_config(4e-3, 400, interferometers=True)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(timebinsim.config_to_dict(cfg)))
@@ -442,9 +444,21 @@ class TestDetectedCounts:
             assert abs(clicks - 10_000) < 5 * sigma
 
 
+# Each collapse case at the module's histogram slice, then with slices of 3
+# and 7 idler entries, so that windows and runs of a repeated slot straddle
+# slice edges.
+SLICED = [
+    pytest.param(collapse, size, id=f"{collapse}-slice{size}" if size else f"{collapse}")
+    for size in (None, 3, 7)
+    for collapse in (True, False)
+]
+
+
 class TestHistogram:
-    @pytest.mark.parametrize("collapse", [True, False])
-    def test_matches_brute_force(self, collapse):
+    @pytest.mark.parametrize("collapse, slice_entries", SLICED)
+    def test_matches_brute_force(self, monkeypatch, collapse, slice_entries):
+        if slice_entries:
+            monkeypatch.setattr(montecarlo, "HISTOGRAM_SLICE", slice_entries)
         rng = np.random.default_rng(7)
         counts_s = rng.integers(0, 4, size=40)
         counts_i = rng.integers(0, 4, size=40)
@@ -458,12 +472,14 @@ class TestHistogram:
         hist = histogram_from_counts(*channels)
         assert hist == brute_force_histogram(counts_s, counts_i, collapse)
 
-    @pytest.mark.parametrize("collapse", [True, False])
-    def test_streamed_run_matches_whole_run_events(self, monkeypatch, collapse):
+    @pytest.mark.parametrize("collapse, slice_entries", SLICED)
+    def test_streamed_run_matches_whole_run_events(self, monkeypatch, collapse, slice_entries):
         # Five blocks of 40 slots, the last one 2 slots long; at two
         # detections per slot every block has events in its first and last
         # COINCIDENCE_WINDOW slots, so pairs cross every block edge.
         monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
+        if slice_entries:
+            monkeypatch.setattr(montecarlo, "HISTOGRAM_SLICE", slice_entries)
         cfg = lossless_config(2.0, 4 * 40 + 2)
         signal, idler = detected_counts(cfg)
         for slots in (signal, idler):
@@ -481,6 +497,8 @@ class TestHistogram:
         # ~7.6e5 detections per channel at a channel mean of 1, each inside
         # the windows of about seven others uncollapsed: a list of every
         # pair would take ~200 MiB, the entries themselves ~6 MiB a channel.
+        # The histogram bins fixed slices of entries, so its temporaries
+        # (~1.5 MiB) do not grow with them.
         cfg = lossless_config(1.0, 2_000_000, seed=654)
         ((run, *_),) = montecarlo._chunks(cfg, 0, 1)
         _, block = montecarlo._block(run, 0)
@@ -492,7 +510,7 @@ class TestHistogram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
         "cfg",
@@ -503,10 +521,11 @@ class TestHistogram:
         ids=["paper-2-blocks", "lossless-mu-1"],
     )
     def test_fold_holds_one_block(self, cfg):
-        # The fold takes each block's clicks once, frees the raw block
-        # before binning it and copies the tail out, so no block is alive
-        # twice: its traced peak stays below 28 bytes per detection of the
-        # largest block, about 3.5 int64 entries.
+        # The fold draws the tail into each channel's one join, frees the
+        # signal's own streams before the idler is built, takes each
+        # channel's clicks in turn and copies the tail out, so no block is
+        # alive twice: its traced peak stays below 15 bytes per detection of
+        # the largest block, under two int64 entries.
         (chunk,) = montecarlo._chunks(cfg, 0, 1)
         run, start, _, stop = chunk
         assert stop - start >= 2
@@ -517,7 +536,7 @@ class TestHistogram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 28 * largest
+        assert peak < 15 * largest
 
     def test_collapse_bounds_multiphoton_bins(self):
         # At half a pair per pulse, double emissions are common; the
