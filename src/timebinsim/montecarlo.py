@@ -21,7 +21,8 @@ the pairs into independent streams (seen in both arms, one, neither). A
 slot hit with probability exactly d (a dark) is drawn at mean -log(1 - d)
 and collapsed to a slot set. A channel's detections are one ascending slot
 array with one entry per detection, so a slot with k detections appears k
-times.
+times. A block holds its slots relative to its first slot, as int32
+when shorter than 2^31 - COINCIDENCE_WINDOW pulses, else int64.
 
 Reproducibility contract: every run enters through _chunks, which cuts it
 into consecutive blocks of block_pulses(cfg, sectors) pulses, sized so that
@@ -35,13 +36,13 @@ from default_rng((seed, b)). Output is a pure function of (config, seed,
 point) no matter how many workers run it.
 
 The delay histogram is folded block by block. Each channel's entries in
-the last COINCIDENCE_WINDOW slots, the tail, are copied out and drawn into
-the next block's one join per channel, so a pair across a block edge is
-counted once and no block is held twice. The later photon of a pair seen one
-slot apart can land one slot past its block, in a slot the next block may
-fill too. The clicks are taken once per block, as the distinct slots of each
-joined channel, so that slot is one click. The histogram bins fixed slices
-of entries, so the fold holds ~12 bytes a detection of its largest block.
+the last COINCIDENCE_WINDOW slots, the tail, are shifted into the next
+block's one join per channel, so a pair across a block edge is counted
+once and no block is held twice. The later photon of a pair seen one slot
+apart can land one slot past its block, in a slot the next block may fill
+too. The clicks are taken once per block, as the distinct slots of each
+joined channel, so that slot is one click. Working in fixed slices, the
+fold holds ~6 bytes a detection of its largest block (~12 in int64).
 
 With several workers a command opens one pool for all its points (the
 phases of a fringe sweep, the rows of a CAR curve) and sends it every
@@ -87,9 +88,9 @@ MAX_BLOCK_PULSES = 10**10
 # Most expected draws a block may ask for. A block above one pulse expects at
 # most EVENTS_PER_BLOCK, so only a one-pulse block can exceed it.
 MAX_BLOCK_DRAWS = 4 * EVENTS_PER_BLOCK
-# Idler entries histogram_from_counts bins at a time: its temporaries stay
-# near 1.5 MiB whatever the entries, and larger slices run slower.
-HISTOGRAM_SLICE = 2**15
+# Idler entries histogram_from_counts bins, and entries _distinct compacts, at
+# a time: temporaries stay below 0.4 MiB, and larger slices run no faster.
+HISTOGRAM_SLICE = 2**13
 
 
 class InsufficientStatisticsError(ValueError):
@@ -226,63 +227,70 @@ def _map(worker, items: list, processes: int) -> list:
         return list(pool.map(worker, items))
 
 
-def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
-    """Unsorted slots of Poisson(mean) events in each of n slots."""
-    return rng.integers(0, n, rng.poisson(mean * n))
+def _events(rng: np.random.Generator, n: int, mean: float, dtype) -> np.ndarray:
+    """Unsorted slots of Poisson(mean) events in each of n slots, as dtype.
+    Below 2^31 slots numpy draws the same values as int32 and as int64."""
+    return rng.integers(0, n, rng.poisson(mean * n), dtype=dtype)
 
 
 def _distinct(slots: np.ndarray) -> np.ndarray:
-    """Distinct entries of ascending slots. np.unique would sort again, and
-    without return_counts numpy 2.3+ takes a hash path that is ~50x slower
-    on a million slots."""
+    """Distinct entries of ascending slots, compacted in place a slice at a
+    time. np.unique would sort again, and without return_counts numpy 2.3+
+    takes a hash path that is ~50x slower on a million slots."""
     import numpy as np
 
     keep = np.ones(len(slots), dtype=bool)
     np.not_equal(slots[1:], slots[:-1], out=keep[1:])
-    return slots[keep]
+    kept = 0
+    for lo in range(0, len(slots), HISTOGRAM_SLICE):
+        part = slots[lo : lo + HISTOGRAM_SLICE][keep[lo : lo + HISTOGRAM_SLICE]]
+        slots[kept : kept + len(part)] = part
+        kept += len(part)
+    return slots[:kept]
 
 
 def _block(run: tuple, b: int, tail=None):
-    """End slot and detections of block b of a run joined to tail, the last
-    entries before it: each channel's ascending run slots, one entry per
-    detection.
+    """Length n and detections of block b of a run joined to tail, the last
+    entries before it in this block's slots: each channel's ascending slots
+    relative to the block's first slot, one entry per detection.
 
     The streams are drawn in the order of _stream_means. A recorded dark is
     one detection, so each channel's darks are deduplicated before they join
     the photons. A pair seen one slot apart puts its later photon in the
-    next slot, so a block's detections span its first slot to its end. Each
-    channel is one join, and the signal's own streams are freed first.
+    next slot, so the joined slots lie in [-COINCIDENCE_WINDOW, n], as int32
+    if the run's blocks keep n + COINCIDENCE_WINDOW below 2^31, else int64.
+    Each channel is one join, and the signal's own streams are freed first.
     """
     import numpy as np
 
     seed, point, size, pulses, means = run
-    start = b * size
-    n = min(size, pulses - start)
+    n = min(size, pulses - b * size)
+    dtype = np.int32 if size + COINCIDENCE_WINDOW < 2**31 else np.int64
     rng = np.random.default_rng((seed, b, point))
     both, only_s, only_i, noise_s, noise_i, dark_s, dark_i, s_first, i_first = (
-        _events(rng, n, mean) for mean in means
+        _events(rng, n, mean, dtype) for mean in means
     )
-    tail_s, tail_i = tail or (np.empty(0, dtype=np.int64),) * 2
+    tail_s, tail_i = tail or (both[:0],) * 2
     signal = np.concatenate(
-        (tail_s - start, both, only_s, noise_s, _distinct(np.sort(dark_s)), s_first, i_first + 1)
+        (tail_s, both, only_s, noise_s, _distinct(np.sort(dark_s)), s_first, i_first + 1)
     )
     del only_s, noise_s, dark_s
     idler = np.concatenate(
-        (tail_i - start, both, only_i, noise_i, _distinct(np.sort(dark_i)), s_first + 1, i_first)
+        (tail_i, both, only_i, noise_i, _distinct(np.sort(dark_i)), s_first + 1, i_first)
     )
-    for slots in (signal, idler):
-        slots.sort()
-        slots += start
-    return start + n, (signal, idler)
+    signal.sort()
+    idler.sort()
+    return n, (signal, idler)
 
 
 def _detections(chunk) -> tuple:
-    """Each channel's detections in a chunk's blocks, ascending run slots."""
+    """Each channel's detections in a chunk's blocks: ascending int64 run slots."""
     import numpy as np
 
     run, _, first, stop = chunk
-    blocks = [_block(run, b)[1] for b in range(first, stop)]
-    return tuple(np.concatenate(slots) for slots in zip(*blocks))
+    size = run[2]
+    parts = [[s.astype(np.int64) + b * size for s in _block(run, b)[1]] for b in range(first, stop)]
+    return tuple(np.concatenate(slots) for slots in zip(*parts))
 
 
 def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
@@ -328,7 +336,7 @@ def _fold(chunk, collapse: bool = True) -> dict[int, int]:
     pair.
 
     The tail, each channel's entries from COINCIDENCE_WINDOW slots before
-    the next block's first slot on, is drawn into the next block. Adding
+    the next block's first slot on, joins that block in its slots. Adding
     the histogram of tail + block and subtracting the tail's own counts
     every pair within the block or across its leading edge exactly once. A
     later photon that spilled past the previous block is in the tail, and
@@ -340,9 +348,10 @@ def _fold(chunk, collapse: bool = True) -> dict[int, int]:
 
     run, start, first, stop = chunk
     totals = dict.fromkeys(range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1), 0)
-    tail = (np.empty(0, dtype=np.int64),) * 2
+    # Empty int32 joins a block of either type without widening it.
+    tail = (np.empty(0, dtype=np.int32),) * 2
     for b in range(start, stop):
-        end, (signal, idler) = _block(run, b, tail)
+        n, (signal, idler) = _block(run, b, tail)
         if collapse:
             signal = _distinct(signal)
             idler = _distinct(idler)
@@ -351,8 +360,9 @@ def _fold(chunk, collapse: bool = True) -> dict[int, int]:
             counted = histogram_from_counts(*tail)
             for delay in totals:
                 totals[delay] += added[delay] - counted[delay]
-        # Copies, so that no view keeps this block alive while the next is drawn.
-        tail = [s[np.searchsorted(s, end - COINCIDENCE_WINDOW) :].copy() for s in (signal, idler)]
+        # A key of the slots' type, or numpy searches an int64 copy of them.
+        key = signal.dtype.type(n - COINCIDENCE_WINDOW)
+        tail = [s[np.searchsorted(s, key) :] - n for s in (signal, idler)]
         del signal, idler
     return totals
 

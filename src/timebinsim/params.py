@@ -149,7 +149,14 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     Violations are data, not exceptions, so callers can report all of them
     at once (require_valid joins them into one error).
     """
-    bad: list[str] = []
+    bad = [
+        f"{section}.{name} must be a finite real number, got {value!r}"
+        for section in ("source", "signal", "idler")
+        for name, value in vars(getattr(cfg, section)).items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
+    if bad:  # no range below holds or fails meaningfully for a NaN or an infinity
+        return bad
     src = cfg.source
     if src.pair_coeff <= 0:
         bad.append(f"source.pair_coeff must be > 0, got {src.pair_coeff}")

@@ -37,6 +37,10 @@ from timebinsim.montecarlo import (
 )
 from timebinsim.params import SourceParams
 
+# The longest block whose slots, and the histogram's window bounds around
+# them, up to the spill slot plus COINCIDENCE_WINDOW, fit in int32.
+INT32_BLOCK = 2**31 - 1 - COINCIDENCE_WINDOW
+
 
 def brute_force_histogram(counts_s, counts_i, collapse):
     """Nested loop over individual slots, the definition of the histogram."""
@@ -62,15 +66,10 @@ def events_of(counts):
 class TestBlocks:
     def test_partition(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
-        for pulses, partition in (
-            (2 * 40 + 17, [(0, 40), (40, 40), (80, 17)]),
-            (40, [(0, 40)]),
-            (39, [(0, 39)]),
-        ):
+        for pulses, lengths in ((2 * 40 + 17, [40, 40, 17]), (40, [40]), (39, [39])):
             ((run, start, first, stop),) = montecarlo._chunks(lossless_config(4e-3, pulses), 0, 1)
             assert (start, first) == (0, 0)
-            ends = [montecarlo._block(run, b)[0] for b in range(stop)]
-            assert ends == [start + length for start, length in partition]
+            assert [montecarlo._block(run, b)[0] for b in range(stop)] == lengths
 
     def test_size_is_expected_events_over_draws_per_slot(self):
         # Darks only: the two dark streams draw -log(1 - d) per slot each.
@@ -99,6 +98,30 @@ class TestBlocks:
         dead = lossless_config(4e-3, 1, dark_rate_hz=0.0)
         dead = replace(dead, source=replace(dead.source, peak_power_w=0.0))
         assert block_pulses(dead) == MAX_BLOCK_PULSES
+
+    @pytest.mark.parametrize(
+        "size, dtype", [(INT32_BLOCK, np.int32), (INT32_BLOCK + 1, np.int64)], ids=["int32", "int64"]
+    )
+    def test_slot_type_at_the_int32_limit(self, monkeypatch, size, dtype):
+        # Two blocks of the largest int32 length, or one more, and 5 pulses:
+        # every block of a run holds its slots in the type its block length
+        # allows, and the fold of its blocks cut into one or two chunks
+        # equals the click histogram of the whole run's int64 slots.
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: size)
+        cfg = replace(default_config(), num_pulses=2 * size + 5)
+        ((run, start, first, stop),) = montecarlo._chunks(cfg, 0, 1)
+        assert (start, first, stop) == (0, 0, 3)
+        for b in range(stop):
+            assert [slots.dtype for slots in montecarlo._block(run, b)[1]] == [dtype] * 2
+        signal, idler = detected_counts(cfg)
+        assert signal.dtype == idler.dtype == np.int64
+        assert signal[-1] >= 2**31 and idler[-1] >= 2**31
+        whole = histogram_from_counts(np.unique(signal), np.unique(idler))
+        assert sum(whole.values()) > 0
+        assert montecarlo._fold((run, 0, 0, stop)) == whole
+        for cut in (1, 2):
+            parts = [montecarlo._fold((run, 0, 0, cut)), montecarlo._fold((run, cut - 1, cut, stop))]
+            assert {d: sum(part[d] for part in parts) for d in whole} == whole
 
 
 class FakePool:
@@ -330,7 +353,8 @@ class TestReproducibility:
             slots_s, _ = detected_counts(cfg, point=point)
             events = np.concatenate(
                 [
-                    montecarlo._events(np.random.default_rng((77, b, *key)), n, mu) + 1000 * b
+                    montecarlo._events(np.random.default_rng((77, b, *key)), n, mu, np.int32)
+                    + 1000 * b
                     for b, n in ((0, 1000), (1, 1000), (2, 500))
                 ]
             )
@@ -416,6 +440,17 @@ class TestDetectedCounts:
             slots = np.sort(rng.integers(0, 100, size))
             assert np.array_equal(montecarlo._distinct(slots), np.unique(slots))
 
+    @pytest.mark.parametrize("slice_entries", [3, 7, 2**13])
+    def test_slot_sets_compact_in_place_across_slices(self, monkeypatch, slice_entries):
+        # _distinct compacts into its input's buffer a slice at a time; runs
+        # of a repeated slot straddle the slice edges.
+        monkeypatch.setattr(montecarlo, "HISTOGRAM_SLICE", slice_entries)
+        slots = np.repeat(np.arange(-3, 20_000, 3, dtype=np.int32), 1 + np.arange(6_668) % 4)
+        expected = np.unique(slots)
+        distinct = montecarlo._distinct(slots)
+        assert distinct.dtype == np.int32
+        assert np.array_equal(distinct, expected)
+
     def test_rejects_interferometer_setup(self):
         cfg = replace(lossless_config(4e-3, 100), interferometers_present=True)
         with pytest.raises(ValueError, match="without interferometers"):
@@ -493,12 +528,30 @@ class TestHistogram:
             assert simulate_car_run(cfg) == CoincidenceHistogram(whole, cfg.num_pulses)
 
     @pytest.mark.parametrize("collapse", [True, False])
+    def test_int32_slots_at_the_top_of_the_range(self, collapse):
+        # Block-relative slots of the longest int32 block, crowded near both
+        # ends of [-COINCIDENCE_WINDOW, n]: the tail, the first slots, the
+        # last slots and the spill slot n. The histogram's window bounds
+        # reach n + COINCIDENCE_WINDOW = 2^31 - 1; had they wrapped, the int32
+        # counts would differ from the int64 ones.
+        n = INT32_BLOCK
+        rng = np.random.default_rng(5)
+        span = np.r_[-COINCIDENCE_WINDOW : 8, n - 8 : n + 1]
+        # Every slot of the span once, then some again.
+        channels = [np.sort(np.r_[span, rng.choice(span, size=40)]) for _ in range(2)]
+        if collapse:
+            channels = [np.unique(slots) for slots in channels]
+        hist = histogram_from_counts(*(slots.astype(np.int32) for slots in channels))
+        assert hist == histogram_from_counts(*channels)
+        assert sum(hist.values()) > 0
+
+    @pytest.mark.parametrize("collapse", [True, False])
     def test_memory_scales_with_entries(self, collapse):
         # ~7.6e5 detections per channel at a channel mean of 1, each inside
         # the windows of about seven others uncollapsed: a list of every
-        # pair would take ~200 MiB, the entries themselves ~6 MiB a channel.
+        # pair would take ~200 MiB, the entries themselves ~3 MiB a channel.
         # The histogram bins fixed slices of entries, so its temporaries
-        # (~1.5 MiB) do not grow with them.
+        # (~0.35 MiB) do not grow with them.
         cfg = lossless_config(1.0, 2_000_000, seed=654)
         ((run, *_),) = montecarlo._chunks(cfg, 0, 1)
         _, block = montecarlo._block(run, 0)
@@ -510,22 +563,23 @@ class TestHistogram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, bound",
         [
-            replace(default_config(), num_pulses=2 * 10**10),
-            lossless_config(1.0, 2_000_000, seed=654),
+            (replace(default_config(), num_pulses=2 * 10**10), 15),
+            (lossless_config(1.0, 2_000_000, seed=654), 8),
         ],
         ids=["paper-2-blocks", "lossless-mu-1"],
     )
-    def test_fold_holds_one_block(self, cfg):
+    def test_fold_holds_one_block(self, cfg, bound):
         # The fold draws the tail into each channel's one join, frees the
         # signal's own streams before the idler is built, takes each
-        # channel's clicks in turn and copies the tail out, so no block is
-        # alive twice: its traced peak stays below 15 bytes per detection of
-        # the largest block, under two int64 entries.
+        # channel's clicks in turn and shifts the tail out, so no block is
+        # alive twice: its traced peak stays below two entries per detection
+        # of the largest block, int64 at the paper's 1e10-pulse blocks and
+        # int32 at the mean-1 run's blocks of under 2^31 pulses.
         (chunk,) = montecarlo._chunks(cfg, 0, 1)
         run, start, _, stop = chunk
         assert stop - start >= 2
@@ -536,7 +590,7 @@ class TestHistogram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 15 * largest
+        assert peak < bound * largest
 
     def test_collapse_bounds_multiphoton_bins(self):
         # At half a pair per pulse, double emissions are common; the
@@ -696,9 +750,10 @@ class TestFringeRun:
         phases = PhasePair(0.6, 0.0)
         ((run, *_),) = montecarlo._chunks(cfg, 0, 1, phases)
         blocks = [montecarlo._block(run, b) for b in range(-(-cfg.num_pulses // size))]
-        assert any(slots[-1] == end for end, block in blocks for slots in block)
+        assert any(slots[-1] == n for n, block in blocks for slots in block)
         whole = [
-            np.sort(np.concatenate([block[channel] for _, block in blocks])) for channel in range(2)
+            np.sort(np.concatenate([block[channel] + b * size for b, (_, block) in enumerate(blocks)]))
+            for channel in range(2)
         ]
         for collapse in (True, False):
             channels = [np.unique(slots) for slots in whole] if collapse else whole

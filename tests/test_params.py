@@ -3,11 +3,13 @@
 import json
 import math
 from dataclasses import replace
+from typing import get_type_hints
 
 import pytest
 
 from timebinsim import (
     ChannelParams,
+    SourceParams,
     config_from_dict,
     config_to_dict,
     dark_per_slot,
@@ -15,10 +17,19 @@ from timebinsim import (
     effective_alpha,
     validate_config,
 )
+from timebinsim.params import require_valid
 
 # Direct evaluation: 10^(-(9+6.0)/10) * 0.2 and 10^(-(9+6.7)/10) * 0.2.
 ALPHA_SIGNAL = 6.324555320336759e-3
 ALPHA_IDLER = 5.383069607853834e-3
+
+# (section, field) of every float field of the source and both arms.
+FLOAT_FIELDS = [
+    (section, name)
+    for section, cls in (("source", SourceParams), ("signal", ChannelParams), ("idler", ChannelParams))
+    for name, kind in get_type_hints(cls).items()
+    if kind is float
+]
 
 
 class TestEffectiveAlpha:
@@ -133,6 +144,19 @@ class TestValidation:
                 bad = validate_config(replace(baseline, **{name: channel}))
                 assert len(bad) == 1
                 assert bad[0].startswith(f"{name}.dark_rate_hz must be < source.rep_rate_ghz")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "section, name", FLOAT_FIELDS, ids=[f"{section}.{name}" for section, name in FLOAT_FIELDS]
+    )
+    def test_non_finite_field_named(self, baseline, section, name, value):
+        # The Python API takes any float; a NaN passes every range check, and
+        # an infinity may fail a later check that names another field.
+        params = replace(getattr(baseline, section), **{name: value})
+        with pytest.raises(ValueError) as err:
+            require_valid(replace(baseline, **{section: params}))
+        expected = f"invalid config: {section}.{name} must be a finite real number, got {value!r}"
+        assert str(err.value) == expected
 
     def test_multiple_violations_all_reported(self, baseline):
         cfg = replace(
