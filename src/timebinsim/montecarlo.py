@@ -21,8 +21,7 @@ the pairs into independent streams (seen in both arms, one, neither). A
 slot hit with probability exactly d (a dark) is drawn at mean -log(1 - d)
 and collapsed to a slot set. A channel's detections are one ascending slot
 array with one entry per detection, so a slot with k detections appears k
-times. A block holds its slots relative to its first slot, as int32
-when shorter than 2^31 - COINCIDENCE_WINDOW pulses, else int64.
+times. A block holds its slots relative to its first slot, as int32.
 
 Reproducibility contract: every run enters through _chunks, which cuts it
 into consecutive blocks of block_pulses(cfg, sectors) pulses, sized so that
@@ -42,7 +41,7 @@ once and no block is held twice. The later photon of a pair seen one slot
 apart can land one slot past its block, in a slot the next block may fill
 too. The clicks are taken once per block, as the distinct slots of each
 joined channel, so that slot is one click. Working in fixed slices, the
-fold holds ~6 bytes a detection of its largest block (~12 in int64).
+fold holds ~6 bytes a detection of its largest block.
 
 With several workers a command opens one pool for all its points (the
 phases of a fringe sweep, the rows of a CAR curve) and sends it every
@@ -83,8 +82,10 @@ COINCIDENCE_WINDOW = 3
 # density. At ~5e-8 s per event a million is ~50 ms of work, so per-block
 # overhead is small and a block's arrays stay at a few MiB.
 EVENTS_PER_BLOCK = 1_000_000
-# Largest block, in pulses; it bounds the peak memory of sparse runs.
-MAX_BLOCK_PULSES = 10**10
+# Largest block, in pulses; it bounds the peak memory of sparse runs. Every
+# value the fold computes, up to the spill slot plus COINCIDENCE_WINDOW,
+# then fits in int32.
+MAX_BLOCK_PULSES = 2**31 - 1 - COINCIDENCE_WINDOW
 # Most expected draws a block may ask for. A block above one pulse expects at
 # most EVENTS_PER_BLOCK, so only a one-pulse block can exceed it.
 MAX_BLOCK_DRAWS = 4 * EVENTS_PER_BLOCK
@@ -227,10 +228,9 @@ def _map(worker, items: list, processes: int) -> list:
         return list(pool.map(worker, items))
 
 
-def _events(rng: np.random.Generator, n: int, mean: float, dtype) -> np.ndarray:
-    """Unsorted slots of Poisson(mean) events in each of n slots, as dtype.
-    Below 2^31 slots numpy draws the same values as int32 and as int64."""
-    return rng.integers(0, n, rng.poisson(mean * n), dtype=dtype)
+def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
+    """Unsorted int32 slots of Poisson(mean) events in each of n slots."""
+    return rng.integers(0, n, rng.poisson(mean * n), dtype="int32")
 
 
 def _distinct(slots: np.ndarray) -> np.ndarray:
@@ -257,18 +257,16 @@ def _block(run: tuple, b: int, tail=None):
     The streams are drawn in the order of _stream_means. A recorded dark is
     one detection, so each channel's darks are deduplicated before they join
     the photons. A pair seen one slot apart puts its later photon in the
-    next slot, so the joined slots lie in [-COINCIDENCE_WINDOW, n], as int32
-    if the run's blocks keep n + COINCIDENCE_WINDOW below 2^31, else int64.
-    Each channel is one join, and the signal's own streams are freed first.
+    next slot, so the joined slots lie in [-COINCIDENCE_WINDOW, n]. Each
+    channel is one join, and the signal's own streams are freed first.
     """
     import numpy as np
 
     seed, point, size, pulses, means = run
     n = min(size, pulses - b * size)
-    dtype = np.int32 if size + COINCIDENCE_WINDOW < 2**31 else np.int64
     rng = np.random.default_rng((seed, b, point))
     both, only_s, only_i, noise_s, noise_i, dark_s, dark_i, s_first, i_first = (
-        _events(rng, n, mean, dtype) for mean in means
+        _events(rng, n, mean) for mean in means
     )
     tail_s, tail_i = tail or (both[:0],) * 2
     signal = np.concatenate(
@@ -316,7 +314,7 @@ def histogram_from_counts(signal, idler) -> dict[int, int]:
     import numpy as np
 
     window = COINCIDENCE_WINDOW
-    binned = np.zeros(2 * window + 1, dtype=np.int64)
+    binned = np.zeros(2 * window + 1, dtype=np.intp)
     for lo in range(0, len(idler), HISTOGRAM_SLICE):
         part = idler[lo : lo + HISTOGRAM_SLICE]
         # Signal entries within the window of each idler entry: [at, last).
@@ -348,7 +346,6 @@ def _fold(chunk, collapse: bool = True) -> dict[int, int]:
 
     run, start, first, stop = chunk
     totals = dict.fromkeys(range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1), 0)
-    # Empty int32 joins a block of either type without widening it.
     tail = (np.empty(0, dtype=np.int32),) * 2
     for b in range(start, stop):
         n, (signal, idler) = _block(run, b, tail)
@@ -360,8 +357,8 @@ def _fold(chunk, collapse: bool = True) -> dict[int, int]:
             counted = histogram_from_counts(*tail)
             for delay in totals:
                 totals[delay] += added[delay] - counted[delay]
-        # A key of the slots' type, or numpy searches an int64 copy of them.
-        key = signal.dtype.type(n - COINCIDENCE_WINDOW)
+        # An int32 key, or numpy searches a widened copy of the slots.
+        key = np.int32(n - COINCIDENCE_WINDOW)
         tail = [s[np.searchsorted(s, key) :] - n for s in (signal, idler)]
         del signal, idler
     return totals

@@ -37,10 +37,6 @@ from timebinsim.montecarlo import (
 )
 from timebinsim.params import SourceParams
 
-# The longest block whose slots, and the histogram's window bounds around
-# them, up to the spill slot plus COINCIDENCE_WINDOW, fit in int32.
-INT32_BLOCK = 2**31 - 1 - COINCIDENCE_WINDOW
-
 
 def brute_force_histogram(counts_s, counts_i, collapse):
     """Nested loop over individual slots, the definition of the histogram."""
@@ -73,10 +69,16 @@ class TestBlocks:
 
     def test_size_is_expected_events_over_draws_per_slot(self):
         # Darks only: the two dark streams draw -log(1 - d) per slot each.
-        darks = lossless_config(4e-3, 1, dark_rate_hz=1e5)
-        darks = replace(darks, source=replace(darks.source, peak_power_w=0.0))
-        rate = -2 * math.log1p(-1e-4)
-        assert block_pulses(darks) == pytest.approx(EVENTS_PER_BLOCK / rate, abs=1)
+        # At 1e6 Hz a million draws take ~5.0e8 pulses; at 1e5 Hz they would
+        # take ~5.0e9, beyond the cap.
+        def darks(rate_hz):
+            cfg = lossless_config(4e-3, 1, dark_rate_hz=rate_hz)
+            return replace(cfg, source=replace(cfg.source, peak_power_w=0.0))
+
+        rate = -2 * math.log1p(-1e-3)
+        assert block_pulses(darks(1e6)) == pytest.approx(EVENTS_PER_BLOCK / rate, abs=1)
+        assert EVENTS_PER_BLOCK / (-2 * math.log1p(-1e-4)) > MAX_BLOCK_PULSES
+        assert block_pulses(darks(1e5)) == MAX_BLOCK_PULSES
         # Fringe point with pairs only and unit alpha: one draw per pair that
         # leaves a photon in a kept port, mu_c (1 - p_none) per slot. Neither
         # kept is both kept with both phases shifted by pi.
@@ -99,20 +101,16 @@ class TestBlocks:
         dead = replace(dead, source=replace(dead.source, peak_power_w=0.0))
         assert block_pulses(dead) == MAX_BLOCK_PULSES
 
-    @pytest.mark.parametrize(
-        "size, dtype", [(INT32_BLOCK, np.int32), (INT32_BLOCK + 1, np.int64)], ids=["int32", "int64"]
-    )
-    def test_slot_type_at_the_int32_limit(self, monkeypatch, size, dtype):
-        # Two blocks of the largest int32 length, or one more, and 5 pulses:
-        # every block of a run holds its slots in the type its block length
-        # allows, and the fold of its blocks cut into one or two chunks
-        # equals the click histogram of the whole run's int64 slots.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: size)
-        cfg = replace(default_config(), num_pulses=2 * size + 5)
+    def test_slot_type_at_the_int32_limit(self):
+        # Two blocks of the largest length and 5 pulses at the paper's
+        # losses: every block holds int32 slots, and the fold of its blocks
+        # cut into one or two chunks equals the click histogram of the whole
+        # run's int64 slots.
+        cfg = replace(default_config(), num_pulses=2 * MAX_BLOCK_PULSES + 5)
         ((run, start, first, stop),) = montecarlo._chunks(cfg, 0, 1)
         assert (start, first, stop) == (0, 0, 3)
         for b in range(stop):
-            assert [slots.dtype for slots in montecarlo._block(run, b)[1]] == [dtype] * 2
+            assert [slots.dtype for slots in montecarlo._block(run, b)[1]] == [np.int32] * 2
         signal, idler = detected_counts(cfg)
         assert signal.dtype == idler.dtype == np.int64
         assert signal[-1] >= 2**31 and idler[-1] >= 2**31
@@ -353,7 +351,7 @@ class TestReproducibility:
             slots_s, _ = detected_counts(cfg, point=point)
             events = np.concatenate(
                 [
-                    montecarlo._events(np.random.default_rng((77, b, *key)), n, mu, np.int32)
+                    montecarlo._events(np.random.default_rng((77, b, *key)), n, mu)
                     + 1000 * b
                     for b, n in ((0, 1000), (1, 1000), (2, 500))
                 ]
@@ -364,11 +362,12 @@ class TestReproducibility:
     def test_streams_are_pinned(self):
         # Counts recorded at 0.6.0: the delay histograms mc-car writes to
         # histogram.csv for a one-block and a three-block run, and one fringe
-        # point; and at 0.7.0, a run above one draw per slot, whose blocks
-        # are shorter than a million pulses. They change only together with
-        # __version__, since a change to the random streams bumps the
-        # version.
-        assert timebinsim.__version__ == "0.7.0"
+        # point; at 0.7.0, a run above one draw per slot, whose blocks are
+        # shorter than a million pulses; and at 0.8.0, mc-car --pulses
+        # 10000000000 at the paper's losses, five blocks of at most
+        # MAX_BLOCK_PULSES. They change only together with __version__,
+        # since a change to the random streams bumps the version.
+        assert timebinsim.__version__ == "0.8.0"
         one_block = lossless_config(1e-2, 500_000, seed=123, dark_rate_hz=1e6)
         three_blocks = lossless_config(0.5, 3_000_000, seed=456)
         dense = lossless_config(1.0, 2_000_000, seed=654)
@@ -385,6 +384,11 @@ class TestReproducibility:
         }
         fringe_cfg = lossless_config(0.05, 500_000, seed=789, dark_rate_hz=1e6, interferometers=True)
         assert simulate_fringe_run(fringe_cfg, PhasePair(0.3, 0.2)) == 1485
+        paper = replace(default_config(), num_pulses=10**10)
+        assert num_blocks(paper) == 5
+        assert simulate_car_run(paper).counts == {
+            -3: 7, -2: 13, -1: 9, 0: 41, 1: 6, 2: 3, 3: 4
+        }
 
     def test_sweep_points_do_not_reuse_the_next_seed(self):
         # Point k used to run at seed + k, so point 1 repeated the next
@@ -534,7 +538,7 @@ class TestHistogram:
         # last slots and the spill slot n. The histogram's window bounds
         # reach n + COINCIDENCE_WINDOW = 2^31 - 1; had they wrapped, the int32
         # counts would differ from the int64 ones.
-        n = INT32_BLOCK
+        n = MAX_BLOCK_PULSES
         rng = np.random.default_rng(5)
         span = np.r_[-COINCIDENCE_WINDOW : 8, n - 8 : n + 1]
         # Every slot of the span once, then some again.
@@ -568,7 +572,7 @@ class TestHistogram:
     @pytest.mark.parametrize(
         "cfg, bound",
         [
-            (replace(default_config(), num_pulses=2 * 10**10), 15),
+            (replace(default_config(), num_pulses=2 * MAX_BLOCK_PULSES), 8),
             (lossless_config(1.0, 2_000_000, seed=654), 8),
         ],
         ids=["paper-2-blocks", "lossless-mu-1"],
@@ -577,9 +581,8 @@ class TestHistogram:
         # The fold draws the tail into each channel's one join, frees the
         # signal's own streams before the idler is built, takes each
         # channel's clicks in turn and shifts the tail out, so no block is
-        # alive twice: its traced peak stays below two entries per detection
-        # of the largest block, int64 at the paper's 1e10-pulse blocks and
-        # int32 at the mean-1 run's blocks of under 2^31 pulses.
+        # alive twice: its traced peak stays below two int32 entries per
+        # detection of the largest block.
         (chunk,) = montecarlo._chunks(cfg, 0, 1)
         run, start, _, stop = chunk
         assert stop - start >= 2
@@ -653,6 +656,27 @@ class TestCarAgainstClosedForm:
             assert est.car == pytest.approx(expected, abs=3.5 * est.stderr), (
                 f"mu={mu:.3e}"
             )
+
+    def test_paper_point_bins_pool_to_closed_form(self):
+        # The exactness gate at the paper's losses: 40 sweep points of 1e10
+        # pulses, each five blocks with the last one partial. Each delay bin
+        # is pooled over the points, and one chi-square over the 7 bins is
+        # taken against the threshold-detector expectation. The bound, 29.88,
+        # is the upper 1e-4 point of chi-square with 7 degrees of freedom,
+        # so a correct sampler fails with probability 1e-4. At 4e11 pooled
+        # pulses (~1720 delay-0 and ~220 counts per accidental bin expected)
+        # a bias of 12% at delay 0, or 33% in one accidental bin, fails the
+        # gate half the time, and one of 15% or 42% nine times in ten.
+        cfg = replace(default_config(), num_pulses=10**10, seed=90_019)
+        assert num_blocks(cfg) == 5
+        p, points = threshold_bin_probabilities(cfg), 40
+        totals = dict.fromkeys(p, 0)
+        for k in range(points):
+            for delay, count in simulate_car_run(cfg, point=k).counts.items():
+                totals[delay] += count
+        expected = {d: points * (cfg.num_pulses - abs(d)) * p[d] for d in p}
+        chi2 = sum((totals[d] - expected[d]) ** 2 / expected[d] for d in p)
+        assert chi2 < 29.88, (totals, expected)
 
 
 class TestFringeRun:
