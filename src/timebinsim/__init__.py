@@ -12,8 +12,8 @@ __version__ = "0.8.0"
 from .analytic import (
     PairStatistics,
     car_closed_form,
-    car_from_means,
     estimate_gamma,
+    expected_histogram,
     mu_correlated,
     mu_noise,
     predicted_visibility,
@@ -59,8 +59,8 @@ __all__ = [
     "__version__",
     "PairStatistics",
     "car_closed_form",
-    "car_from_means",
     "estimate_gamma",
+    "expected_histogram",
     "mu_correlated",
     "mu_noise",
     "predicted_visibility",

@@ -1,5 +1,5 @@
-"""Closed-form pair statistics: means, coincidence-to-accidental ratio,
-visibility prediction.
+"""Closed-form pair statistics: means, the expected delay histogram,
+coincidence-to-accidental ratio, visibility prediction.
 
 The source model: per pulse and per unit bandwidth-time product, the
 correlated-pair mean grows quadratically with pump peak power while the
@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import SourceParams
-from .quantum import ideal_visibility
+from .params import ExperimentConfig, SourceParams, arm_detection
+from .quantum import PhasePair, ideal_visibility, sector_probabilities
 
 
 @dataclass(frozen=True)
@@ -91,33 +91,18 @@ def pump_power_for_mu(mu_total: float, source: SourceParams) -> float:
     return v / (u + math.sqrt(u * u + v))
 
 
-def car_from_means(stats: PairStatistics, alpha: float, dark: float) -> float:
-    """Coincidence-to-accidental ratio from the per-pulse means.
-
-    True coincidences go as mu_pairs * alpha^2; a click pair in any other
-    slot combination goes as the product of the two singles probabilities
-    (mu * alpha + dark)^2. Symmetric in the two arms: callers pass the
-    geometric-mean alpha and mean dark when the arms differ.
-    """
-    mu_n = 0.5 * (stats.mu_noise_signal + stats.mu_noise_idler)
-    denom = (stats.mu_pairs + mu_n) * alpha + dark
-    if denom <= 0.0:
-        raise ValueError("no photons and no darks: accidental rate is zero")
-    return stats.mu_pairs * alpha**2 / denom**2 + 1.0
-
-
 def car_closed_form(mu_total: float, source: SourceParams, alpha: float, dark: float) -> float:
-    """Coincidence-to-accidental ratio as an explicit function of mu.
-
-    Same quantity as car_from_means after eliminating the pump power, so the
-    two routes must agree to float precision; both are kept because the
-    mu-explicit form is the one worth reading:
+    """Coincidence-to-accidental ratio as an explicit function of mu, in the
+    unsaturated, symmetrised limit: both arms at one (alpha, dark), click
+    probabilities linear in the means, the pump power eliminated:
 
         CAR = (mu a / (mu a + d))^2 * 4A / (F (b + sqrt(b^2 + 4A mu/F))^2) + 1
 
     with A the pair coefficient, b the noise coefficient, F the
     bandwidth-time product. With d = 0 the ratio climbs to 1 + A/(F b^2) as
-    mu -> 0 and falls toward 1 at large mu.
+    mu -> 0 and falls toward 1 at large mu. On symmetric arms it is above
+    the exact ratio of expected_histogram by a relative (1 - 1/CAR) eps to
+    first order, eps = lam - m/2 + d^2/lam, lam = mu a + d, m = mu_pairs a^2.
     """
     if mu_total < 0:
         raise ValueError(f"mu_total must be >= 0, got {mu_total}")
@@ -153,7 +138,8 @@ def predicted_visibility(
     where (n-1)/n is the edge-slot cap of quantum.ideal_visibility.
 
     The alphas here exclude the 1/2 post-selection (it is explicit in the
-    formula) but include any interferometer excess loss.
+    formula) but include any interferometer excess loss. This is the
+    unsaturated limit of expected_histogram's exact visibility.
     """
     edge_cap = ideal_visibility(n_slots)
     c = stats.mu_pairs * alpha_signal * alpha_idler / 4.0
@@ -163,6 +149,40 @@ def predicted_visibility(
     if c + 2.0 * a_acc <= 0.0:
         raise ValueError("no coincidences at all: visibility undefined")
     return edge_cap * c / (c + 2.0 * a_acc)
+
+
+def expected_histogram(cfg: ExperimentConfig, phases: PhasePair | None = None) -> dict[int, float]:
+    """Click-pair probability of one slot pair by delay -3..3, exact per arm
+    for threshold detectors: with the interferometers at phases, or without.
+
+    With lam_s, lam_i each channel's per-slot Poisson mean (darks at
+    -log(1 - d)) and m_d the pair mean the channels share at delay d (the
+    matched pairs at 0, signal first at +1, idler first at -1),
+
+        P_d = click_s click_i + exp(-(lam_s + lam_i)) expm1(m_d).
+
+    The singles do not depend on the phases, and the sectors only on their
+    sum, so the fringe visibility is (P_0(0) - P_0(pi)) / (P_0(0) + P_0(pi)).
+    """
+    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
+    inside = phases is not None
+    a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=inside)
+    if inside:
+        matched, s_first, i_first, s_only, i_only = sector_probabilities(cfg.coherence_slots, phases)
+        kept_s = matched + s_first + i_first + s_only
+        kept_i = matched + s_first + i_first + i_only
+        # Noise photons see an interferometer as a phase-insensitive 1/2 loss.
+        noise = 0.5
+    else:
+        matched, s_first, i_first = 1.0, 0.0, 0.0
+        kept_s = kept_i = noise = 1.0
+    lam_s = (stats.mu_pairs * kept_s + stats.mu_noise_signal * noise) * a_s - math.log1p(-d_s)
+    lam_i = (stats.mu_pairs * kept_i + stats.mu_noise_idler * noise) * a_i - math.log1p(-d_i)
+    shared = stats.mu_pairs * a_s * a_i
+    m = {0: shared * matched, 1: shared * s_first, -1: shared * i_first}
+    click_s, click_i = -math.expm1(-lam_s), -math.expm1(-lam_i)
+    quiet = math.exp(-(lam_s + lam_i))
+    return {d: click_s * click_i + quiet * math.expm1(m.get(d, 0.0)) for d in range(-3, 4)}
 
 
 def estimate_gamma(pair_coeff: float, device_length_m: float) -> float:

@@ -162,7 +162,8 @@ def _prepare(ns) -> ExperimentConfig:
 # ----------------------------------------------------------------------
 
 def cmd_analytic(ns) -> int:
-    """Closed-form sweep: means, coincidence ratio, predicted visibility."""
+    """Closed-form sweep: means, and the unsaturated, symmetrised limits of
+    the coincidence ratio and the visibility (car_closed_form, predicted_visibility)."""
     cfg = _prepare(ns)
     if ns.steps < 1:
         raise ValueError("--steps must be >= 1")

@@ -52,8 +52,9 @@ than processes. A chunk first draws again the few blocks before it whose
 detections reach its first COINCIDENCE_WINDOW slots, only to build the tail
 it starts from, so every pair is counted in exactly one chunk. A chunk holds
 at least two blocks, so with blocks longer than COINCIDENCE_WINDOW the one
-block drawn again is at most a third of a chunk's work. A command with one
-chunk in all, or one process to run them, runs in this process.
+block drawn again is at most a third of a chunk's work, and it expects at
+least 2 * EVENTS_PER_BLOCK draws, enough to pay for a process. A command
+with one chunk in all, or one process to run them, runs in this process.
 
 numpy is imported inside the functions that draw and bin, so importing this
 module, and every command that samples nothing, runs on the standard
@@ -72,8 +73,8 @@ import os
 from dataclasses import dataclass, replace
 from math import log1p, sqrt
 
-from .analytic import PairStatistics, car_closed_form, pump_power_for_mu
-from .params import ExperimentConfig, arm_detection, require_valid, symmetrized_detection
+from .analytic import PairStatistics, expected_histogram, pump_power_for_mu
+from .params import ExperimentConfig, arm_detection, require_valid
 from .quantum import PhasePair, sector_probabilities
 
 # Accidental window: delays -3..+3 around the true-coincidence bin.
@@ -187,8 +188,9 @@ def _chunks(
     block b _block draws from the key (cfg.seed, b, point). A chunk
     (run, start, first, stop) counts blocks first..stop - 1; blocks
     start..first - 1 are the earlier ones whose detections can reach block
-    first's leading COINCIDENCE_WINDOW slots. There are
-    min(_processes(workers), blocks // 2) chunks, and at least one.
+    first's leading COINCIDENCE_WINDOW slots. There are at most
+    _processes(workers) chunks, and at least one; each holds at least two
+    blocks and expects at least 2 * EVENTS_PER_BLOCK draws.
     """
     require_valid(cfg)
     if cfg.interferometers_present != (phases is not None):
@@ -206,7 +208,8 @@ def _chunks(
             f" within {MAX_BLOCK_DRAWS:.0e}, got {cfg.source.peak_power_w!r}"
         )
     blocks = -(-cfg.num_pulses // size)
-    count = max(1, min(_processes(workers), blocks // 2))
+    draws = int(sum(means) * cfg.num_pulses // (2 * EVENTS_PER_BLOCK))
+    count = max(1, min(_processes(workers), blocks // 2, draws))
     edges = [blocks * k // count for k in range(count + 1)]
     lead = COINCIDENCE_WINDOW // size + 1
     run = (cfg.seed, point, size, cfg.num_pulses, means)
@@ -436,13 +439,12 @@ def car_curve(
 ) -> list[CarCurveRow]:
     """Analytic and simulated coincidence ratio across channel-mean values.
 
-    Each row re-solves the pump power for its mu, evaluates the closed form
-    with the symmetrized detection parameters (geometric-mean alpha, mean
-    dark), and runs the histogram simulation at that power as sweep point
-    i, so rows draw independent yet reproducible streams. Every row's run
-    is folded on one pool.
+    Each row re-solves the pump power for its mu, takes the exact ratio of
+    expected_histogram, P(0) over the mean of the six accidental bins, and
+    runs the histogram simulation at that power as sweep point i, so rows
+    draw independent yet reproducible streams. Every row's run is folded
+    on one pool.
     """
-    alpha_sym, dark_mean = symmetrized_detection(cfg)
     mu_values = list(mu_values)
     cfg_rows = [
         replace(
@@ -454,14 +456,9 @@ def car_curve(
     ]
     sampled = _sweep_counts([(cfg_row, i, None) for i, cfg_row in enumerate(cfg_rows)], workers)
     rows = []
-    for mu, counts in zip(mu_values, sampled):
+    for mu, cfg_row, counts in zip(mu_values, cfg_rows, sampled):
         est = estimate_car(CoincidenceHistogram(counts, cfg.num_pulses))
-        rows.append(
-            CarCurveRow(
-                mu_total=float(mu),
-                car_analytic=car_closed_form(mu, cfg.source, alpha_sym, dark_mean),
-                car_simulated=est.car,
-                car_stderr=est.stderr,
-            )
-        )
+        p = expected_histogram(cfg_row)
+        exact = p[0] / ((sum(p.values()) - p[0]) / (2 * COINCIDENCE_WINDOW))
+        rows.append(CarCurveRow(float(mu), exact, est.car, est.stderr))
     return rows

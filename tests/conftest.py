@@ -7,7 +7,6 @@ estimates against their own analytic form, raw visibility) do not depend
 on the alpha scale.
 """
 
-import math
 from dataclasses import replace
 
 import pytest
@@ -17,9 +16,10 @@ from timebinsim import (
     ExperimentConfig,
     PairStatistics,
     PhasePair,
-    dark_per_slot,
+    SourceParams,
+    car_closed_form,
     default_config,
-    effective_alpha,
+    expected_histogram,
     pump_power_for_mu,
     sector_probabilities,
 )
@@ -80,47 +80,20 @@ def num_blocks(cfg: ExperimentConfig, phases: PhasePair | None = None) -> int:
     return -(-cfg.num_pulses // block_pulses(cfg, sectors))
 
 
-def threshold_bin_probabilities(
-    cfg: ExperimentConfig, phases: PhasePair | None = None
-) -> dict[int, float]:
-    """Click-pair probability of one slot pair, by delay -3..3, for
-    threshold detectors; phases for a fringe run, None without
-    interferometers.
-
-    Every photon stream is Poisson, so with lam_s, lam_i the channels'
-    per-slot click means (darks at -log(1 - d)) and m_d the pair mean both
-    channels share at delay d,
-
-        P_d = 1 - exp(-lam_s) - exp(-lam_i) + exp(-(lam_s + lam_i - m_d)),
-
-    written below as click_s * click_i + exp(-(lam_s + lam_i)) expm1(m_d).
-    m_d is the matched pair mean at 0, the signal-first mean at +1, the
-    idler-first mean at -1 and 0 elsewhere.
-    """
-    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
-    inside = phases is not None
-    a_s = effective_alpha(cfg.signal, include_interferometer=inside)
-    a_i = effective_alpha(cfg.idler, include_interferometer=inside)
-    d_s = dark_per_slot(cfg.signal, cfg.source.rep_rate_ghz)
-    d_i = dark_per_slot(cfg.idler, cfg.source.rep_rate_ghz)
-    if inside:
-        matched, s_first, i_first, s_only, i_only = sector_probabilities(
-            cfg.coherence_slots, phases
-        )
-        kept_s = matched + s_first + i_first + s_only
-        kept_i = matched + s_first + i_first + i_only
-        # Noise photons see an interferometer as a phase-insensitive 1/2 loss.
-        noise = 0.5
-    else:
-        matched, s_first, i_first = 1.0, 0.0, 0.0
-        kept_s = kept_i = noise = 1.0
-    lam_s = (stats.mu_pairs * kept_s + stats.mu_noise_signal * noise) * a_s - math.log1p(-d_s)
-    lam_i = (stats.mu_pairs * kept_i + stats.mu_noise_idler * noise) * a_i - math.log1p(-d_i)
-    shared = stats.mu_pairs * a_s * a_i
-    m = {0: shared * matched, 1: shared * s_first, -1: shared * i_first}
-    click_s, click_i = -math.expm1(-lam_s), -math.expm1(-lam_i)
-    quiet = math.exp(-(lam_s + lam_i))
-    return {d: click_s * click_i + quiet * math.expm1(m.get(d, 0.0)) for d in range(-3, 4)}
+def saturation_gap(source: SourceParams, mu_total: float, alpha: float, dark: float) -> tuple:
+    """car_closed_form CAR over expected_histogram's ratio, less 1, on two
+    arms of detection probability alpha and dark probability dark per slot;
+    its first order (1 - 1/CAR) eps; and eps = lam - m/2 + dark^2/lam, with
+    lam = mu alpha + dark and m = mu_pairs alpha^2 (derivation in README)."""
+    arm = ChannelParams(0.0, 0.0, alpha, dark * source.rep_rate_ghz * 1e9)
+    power = pump_power_for_mu(mu_total, source)
+    pumped = replace(source, peak_power_w=power)
+    p = expected_histogram(replace(default_config(), source=pumped, signal=arm, idler=arm))
+    closed = car_closed_form(mu_total, source, alpha, dark)
+    stats = PairStatistics.from_power(power, source)
+    lam = stats.mu_total * alpha + dark
+    eps = lam - stats.mu_pairs * alpha**2 / 2 + dark**2 / lam
+    return closed * (sum(p.values()) - p[0]) / (6 * p[0]) - 1, (1 - 1 / closed) * eps, eps
 
 
 @pytest.fixture

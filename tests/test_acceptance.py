@@ -23,17 +23,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import lossless_config, pairs_only_config, threshold_bin_probabilities
+from conftest import lossless_config, pairs_only_config, saturation_gap
 from timebinsim import (
     PairStatistics,
     PhasePair,
     car_closed_form,
-    car_from_means,
-    dark_per_slot,
     default_config,
-    effective_alpha,
     estimate_car,
     estimate_gamma,
+    expected_histogram,
     fit_fringe,
     fit_scaling,
     fringe,
@@ -44,7 +42,7 @@ from timebinsim import (
     simulate_fringe_run,
 )
 from timebinsim.cli import main
-from timebinsim.params import SourceParams, symmetrized_detection
+from timebinsim.params import SourceParams, arm_detection, symmetrized_detection
 
 PHASES_16 = 2 * math.pi * np.arange(16) / 16
 
@@ -82,25 +80,12 @@ def test_criterion_2_ratio_cross_check_lossy_detection():
 def test_criterion_3_peak_ratio_analytic_and_sampled():
     start = time.perf_counter()
     cfg = default_config()
-    alpha_sym = math.sqrt(effective_alpha(cfg.signal) * effective_alpha(cfg.idler))
-    dark_sym = 0.5 * (
-        dark_per_slot(cfg.signal, cfg.source.rep_rate_ghz)
-        + dark_per_slot(cfg.idler, cfg.source.rep_rate_ghz)
-    )
-    analytic_default = car_closed_form(1e-3, cfg.source, alpha_sym, dark_sym)
+    analytic_default = car_closed_form(1e-3, cfg.source, *symmetrized_detection(cfg))
     in_band = 7.7 <= analytic_default <= 9.7
 
     mc_cfg = lossless_config(1e-3, 10_000_000, seed=80_003)
     est = estimate_car(simulate_car_run(mc_cfg))
-    analytic_variant = car_closed_form(
-        1e-3,
-        mc_cfg.source,
-        1.0,
-        0.5 * (
-            dark_per_slot(mc_cfg.signal, mc_cfg.source.rep_rate_ghz)
-            + dark_per_slot(mc_cfg.idler, mc_cfg.source.rep_rate_ghz)
-        ),
-    )
+    analytic_variant = car_closed_form(1e-3, mc_cfg.source, *symmetrized_detection(mc_cfg))
     within = abs(est.car - analytic_variant) <= 3 * est.stderr
     elapsed = time.perf_counter() - start
     fast = elapsed < 120.0
@@ -120,14 +105,8 @@ def test_criterion_4_fringe_visibility_predicted_and_sampled():
     start = time.perf_counter()
     cfg = default_config()
     stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
-    predicted = predicted_visibility(
-        stats,
-        effective_alpha(cfg.signal, include_interferometer=True),
-        effective_alpha(cfg.idler, include_interferometer=True),
-        dark_per_slot(cfg.signal, cfg.source.rep_rate_ghz),
-        dark_per_slot(cfg.idler, cfg.source.rep_rate_ghz),
-        cfg.coherence_slots,
-    )
+    detection = arm_detection(cfg, include_interferometer=True)
+    predicted = predicted_visibility(stats, *detection, cfg.coherence_slots)
     in_band = 0.741 <= predicted <= 0.819
 
     mc_cfg = replace(
@@ -171,22 +150,24 @@ def test_criterion_5_slot_count_law_of_the_exact_engine():
 
 
 def test_criterion_6_ratio_route_and_inversion_consistency():
-    worst_route = 0.0
-    worst_trip = 0.0
+    # On symmetric arms the closed form is the exact ratio but for its
+    # first-order saturation term; the rest is second order, within eps^2.
+    worst_gap = worst_rest = worst_trip = 0.0
     for f in np.logspace(-1, 1, 10):
         src = replace(cross_check_source(), bandwidth_ghz=float(f))
         for mu in np.logspace(-5, -1, 10):
             power = pump_power_for_mu(mu, src)
             stats = PairStatistics.from_power(power, src)
             worst_trip = max(worst_trip, abs(stats.mu_total - mu) / mu)
-            via_means = car_from_means(stats, 0.0058, 3e-8)
-            via_mu = car_closed_form(mu, src, 0.0058, 3e-8)
-            worst_route = max(worst_route, abs(via_mu - via_means) / via_means)
-    ok = worst_route <= 1e-10 and worst_trip <= 1e-12
+            gap, first_order, eps = saturation_gap(src, mu, 0.0058, 3e-8)
+            worst_gap = max(worst_gap, abs(gap))
+            worst_rest = max(worst_rest, abs(gap - first_order) / eps**2)
+    ok = worst_rest <= 1.0 and worst_trip <= 1e-12
     verdict(
         6,
         ok,
-        f"ratio routes agree to {worst_route:.2e} (<= 1e-10) and the pump "
+        f"closed form within {worst_gap:.2e} of the exact ratio, its first-order "
+        f"saturation term to {worst_rest:.2f} eps^2 (<= 1), and the pump "
         f"inversion round-trips to {worst_trip:.2e} (<= 1e-12) on a 10x10 grid",
     )
     assert ok
@@ -282,7 +263,7 @@ def test_criterion_10_paper_operating_point():
     cfg = replace(default_config(), num_pulses=10**10, seed=80_010)
     hist = simulate_car_run(cfg)
     n = cfg.num_pulses
-    p = threshold_bin_probabilities(cfg)
+    p = expected_histogram(cfg)
     expected_zero = n * p[0]
     expected_acc = sum((n - abs(d)) * p[d] for d in hist.window_delays)
     zero_z = (hist.counts[0] - expected_zero) / math.sqrt(expected_zero)
@@ -342,7 +323,7 @@ def test_criterion_11_paper_scale_command(tmp_path):
     assert returncode == 0, launched.stderr
 
     result = json.loads((out / "car.json").read_text())
-    p = threshold_bin_probabilities(cfg)
+    p = expected_histogram(cfg)
     expected_zero = pulses * p[0]
     expected_acc = sum((pulses - abs(d)) * p[d] for d in (-3, -2, -1, 1, 2, 3))
     zero_z = (result["delay_zero_counts"] - expected_zero) / math.sqrt(expected_zero)

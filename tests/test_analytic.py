@@ -6,20 +6,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import saturation_gap
 from timebinsim import (
     PairStatistics,
+    PhasePair,
     car_closed_form,
-    car_from_means,
-    dark_per_slot,
     default_config,
-    effective_alpha,
     estimate_gamma,
+    expected_histogram,
     mu_correlated,
     mu_noise,
     predicted_visibility,
     pump_power_for_mu,
 )
-from timebinsim.params import SourceParams
+from timebinsim.params import SourceParams, arm_detection
 
 # Baseline operating point, evaluated by hand:
 #   5.78 * (5.037e-3)^2 * 0.75  and  1.03 * 5.037e-3 * 0.75
@@ -130,16 +130,13 @@ class TestCarRoutes:
         assert got == pytest.approx(2.264156938802219, rel=1e-12)
 
     def test_two_routes_agree_on_grid(self):
-        # The mu-explicit form eliminates pump power from the means-based
-        # one, so they are the same function of (mu, F, alpha, dark).
+        # The closed form is the unsaturated limit of the exact symmetric-arm
+        # ratio: above it by its first-order term, within eps^2.
         for f in np.logspace(-1, 1, 10):
-            src = source_with_f(f)
             for mu in np.logspace(-5, -1, 10):
-                power = pump_power_for_mu(mu, src)
-                st = PairStatistics.from_power(power, src)
-                via_means = car_from_means(st, 0.0058, 3e-8)
-                via_mu = car_closed_form(mu, src, 0.0058, 3e-8)
-                assert via_mu == pytest.approx(via_means, rel=1e-10)
+                gap, first_order, eps = saturation_gap(source_with_f(f), mu, 0.0058, 3e-8)
+                assert 0 < gap < eps
+                assert gap == pytest.approx(first_order, abs=eps**2)
 
     def test_alpha_drops_out_without_darks(self):
         src = source_with_f(0.75)
@@ -181,23 +178,24 @@ class TestCarRoutes:
             car_closed_form(-1e-3, src, 1.0, 0.0)
         with pytest.raises(ValueError, match="accidental"):
             car_closed_form(0.0, src, 1.0, 0.0)
-        st = PairStatistics(mu_pairs=0.0, mu_noise_signal=0.0, mu_noise_idler=0.0, mu_total=0.0)
-        with pytest.raises(ValueError, match="accidental"):
-            car_from_means(st, 1.0, 0.0)
 
 
 class TestPredictedVisibility:
     def test_baseline_arms(self, baseline):
         st = PairStatistics.from_power(baseline.source.peak_power_w, baseline.source)
-        v = predicted_visibility(
-            st,
-            effective_alpha(baseline.signal, include_interferometer=True),
-            effective_alpha(baseline.idler, include_interferometer=True),
-            dark_per_slot(baseline.signal, baseline.source.rep_rate_ghz),
-            dark_per_slot(baseline.idler, baseline.source.rep_rate_ghz),
-            baseline.coherence_slots,
-        )
+        v = predicted_visibility(st, *arm_detection(baseline, True), baseline.coherence_slots)
         assert v == pytest.approx(0.7729050660168877, rel=1e-12)
+
+    def test_baseline_is_the_unsaturated_exact_visibility(self, baseline):
+        # The singles do not depend on the phases, and the sectors only on their
+        # sum: the exact visibility is the delay-0 bin's at sums 0 and pi.
+        cfg = replace(baseline, interferometers_present=True)
+        p0, p_pi = (expected_histogram(cfg, PhasePair(phi, 0.0))[0] for phi in (0.0, math.pi))
+        exact = (p0 - p_pi) / (p0 + p_pi)
+        assert exact == pytest.approx(0.7729030, abs=5e-8)
+        st = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
+        v = predicted_visibility(st, *arm_detection(cfg, True), cfg.coherence_slots)
+        assert v == pytest.approx(exact, abs=1e-5)
 
     def test_lossless_same_source(self, baseline):
         st = PairStatistics.from_power(baseline.source.peak_power_w, baseline.source)

@@ -9,11 +9,12 @@ import pytest
 
 from conftest import lossless_config
 from timebinsim import (
-    car_closed_form,
     car_curve,
+    expected_histogram,
     fit_fringe,
     fit_scaling,
     proportional_fit,
+    pump_power_for_mu,
 )
 
 PHASES_16 = 2 * math.pi * np.arange(16) / 16
@@ -239,9 +240,10 @@ class TestCarCurve:
         rows = car_curve(cfg, mu_values)
         assert [r.mu_total for r in rows] == mu_values
         for row in rows:
-            assert row.car_analytic == pytest.approx(
-                car_closed_form(row.mu_total, cfg.source, 1.0, dark), rel=1e-12
-            )
+            power = pump_power_for_mu(row.mu_total, cfg.source)
+            p = expected_histogram(replace(cfg, source=replace(cfg.source, peak_power_w=power)))
+            accidental = [p[d] for d in (-3, -2, -1, 1, 2, 3)]
+            assert row.car_analytic == pytest.approx(p[0] / (sum(accidental) / 6), rel=1e-12)
             assert row.car_simulated == pytest.approx(
                 row.car_analytic, abs=4 * row.car_stderr
             )

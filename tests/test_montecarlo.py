@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import lossless_config, num_blocks, pairs_only_config, threshold_bin_probabilities
+from conftest import lossless_config, num_blocks, pairs_only_config
 import timebinsim
 from timebinsim import montecarlo
 from timebinsim import (
@@ -20,12 +20,14 @@ from timebinsim import (
     car_closed_form,
     default_config,
     estimate_car,
+    expected_histogram,
     fringe,
     pump_power_for_mu,
     sector_probabilities,
     simulate_car_run,
     simulate_fringe_run,
 )
+from timebinsim.cli import main
 from timebinsim.montecarlo import (
     COINCIDENCE_WINDOW,
     EVENTS_PER_BLOCK,
@@ -122,6 +124,15 @@ class TestBlocks:
             assert {d: sum(part[d] for part in parts) for d in whole} == whole
 
 
+def short_blocks(monkeypatch, pulses, cfg, *phases):
+    """Blocks of `pulses` pulses, each expecting at least EVENTS_PER_BLOCK
+    draws of cfg at each of phases, or in a histogram run without them."""
+    sectors = [sector_probabilities(cfg.coherence_slots, p) for p in phases] or [None]
+    per_slot = min(sum(montecarlo._stream_means(cfg, s)) for s in sectors)
+    monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: pulses)
+    monkeypatch.setattr(montecarlo, "EVENTS_PER_BLOCK", pulses * per_slot)
+
+
 class FakePool:
     """Records each pool's size and the items mapped on it, and maps in this
     process; starts no process."""
@@ -171,14 +182,14 @@ class TestDispatch:
         # The host has 8 cores and the process may run on `cores` of them;
         # None is a platform without affinity whose cpu_count() is unknown.
         # A pool has one process per chunk, and a chunk at least two blocks.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
+        cfg = lossless_config(4e-3, 40 * blocks - 3)
+        short_blocks(monkeypatch, 40, cfg)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None if cores is None else 8)
         if cores is None:
             monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
         else:
             affinity = lambda pid: set(range(cores))
             monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
-        cfg = lossless_config(4e-3, 40 * blocks - 3)
         chunks = montecarlo._chunks(cfg, 0, workers)
         # Contiguous chunks cover every block once; each draws again from
         # the first earlier block whose detections reach its first slots.
@@ -200,8 +211,6 @@ class TestDispatch:
         # 16 points of 10 blocks each and P = min(workers, cores) <= 16
         # processes: one pool of P processes takes every point as one whole
         # chunk, so no block is drawn twice.
-        from timebinsim.cli import main
-
         monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
         affinity = lambda pid: set(range(cores))
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
@@ -225,11 +234,11 @@ class TestDispatch:
     def test_fewer_points_than_processes_are_cut(self, monkeypatch, fake_pool):
         # 2 points of 10 blocks on 5 processes: each is cut into
         # ceil(5 / 2) = 3 chunks, and the 6 chunks share one pool of 5.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
-        affinity = lambda pid: set(range(5))
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         cfg = lossless_config(4e-3, 400, interferometers=True)
         phases = [PhasePair(0.0, 0.0), PhasePair(1.0, 0.0)]
+        short_blocks(monkeypatch, 40, cfg, *phases)
+        affinity = lambda pid: set(range(5))
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         counts = montecarlo.simulate_fringe_sweep(cfg, phases, workers=5000)
         ((size, chunks),) = fake_pool
         assert size == 5
@@ -251,9 +260,22 @@ class TestDispatch:
         assert [run[1] for run, *_ in chunks] == [0, 1, 2]
         assert pooled == montecarlo.car_curve(cfg, three_mus, workers=1)
 
-    def test_one_worker_opens_no_pool(self, monkeypatch, fake_pool, tmp_path):
-        from timebinsim.cli import main
+    def test_run_below_two_blocks_of_draws_opens_no_pool(self, monkeypatch, fake_pool, tmp_path):
+        # mc-car --pulses 1e10 at the paper's losses: 5 blocks but ~4.7e5 draws,
+        # under a chunk's 2 * EVENTS_PER_BLOCK; larger runs keep their chunks.
+        affinity = lambda pid: {0, 1, 2}
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
+        args = ["mc-car", "--out-dir", str(tmp_path / "out"), "--pulses", "10000000000"]
+        assert main([*args, "--workers", "2"]) == 0
+        assert fake_pool == []
+        paper = replace(default_config(), num_pulses=10**10)
+        assert num_blocks(paper) == 5
+        assert len(montecarlo._chunks(replace(paper, num_pulses=10**12), 0, 2)) == 2
+        dense = lossless_config(1.0, 5_000_000)
+        assert num_blocks(dense) == 7
+        assert len(montecarlo._chunks(dense, 0, 3)) == 3
 
+    def test_one_worker_opens_no_pool(self, monkeypatch, fake_pool, tmp_path):
         monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
         cfg = lossless_config(4e-3, 400, interferometers=True)
         config = tmp_path / "config.json"
@@ -307,12 +329,12 @@ class TestReproducibility:
         # Eleven 20-pulse blocks at 8 pairs per pulse, cut into 2 and 3
         # chunks that run in pool processes: the histogram, a fringe point
         # and the detections equal those of the run in this process.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 20)
-        affinity = lambda pid: {0, 1, 2}
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         fringe_cfg = pairs_only_config(8.0, 5, 10 * 20 + 3)
         cfg = replace(fringe_cfg, interferometers_present=False)
         phases = PhasePair(0.6, 0.0)
+        short_blocks(monkeypatch, 20, fringe_cfg, phases)
+        affinity = lambda pid: {0, 1, 2}
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         hist, count = simulate_car_run(cfg), simulate_fringe_run(fringe_cfg, phases)
         signal, idler = detected_counts(cfg)
         for workers in (2, 3):
@@ -328,11 +350,11 @@ class TestReproducibility:
         # each, split unevenly over 2 or 3 processes, and 2 points cut into
         # 2 chunks each at 3 processes. Each point's count is that of its
         # own run in this process.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 20)
-        affinity = lambda pid: {0, 1, 2}
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         cfg = pairs_only_config(8.0, 5, 10 * 20 + 3)
         phases = [PhasePair(2.0 * math.pi * k / 6, 0.4) for k in range(6)]
+        short_blocks(monkeypatch, 20, cfg, *phases)
+        affinity = lambda pid: {0, 1, 2}
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         serial = [simulate_fringe_run(cfg, p, point=k) for k, p in enumerate(phases)]
         assert len(set(serial)) > 1
         for workers in (1, 2, 3):
@@ -478,9 +500,13 @@ class TestDetectedCounts:
         cfg = lossless_config(1e-3, 1_000_000, dark_rate_hz=1e7)  # d = 0.01/slot
         cfg = replace(cfg, source=replace(cfg.source, peak_power_w=0.0))
         # A recorded dark is one detection, so each entry is one click.
-        for clicks in map(len, detected_counts(cfg)):
+        for slots in detected_counts(cfg):
             sigma = math.sqrt(1_000_000 * 0.01 * 0.99)
-            assert abs(clicks - 10_000) < 5 * sigma
+            assert abs(len(slots) - 10_000) < 5 * sigma
+            # Distinct, though ~50 slots draw two darks at -log(1 - d) per slot.
+            assert np.all(np.diff(slots) > 0)
+        (chunk,) = montecarlo._chunks(cfg, 0, 1)  # so every detection pair is a click pair
+        assert montecarlo._fold(chunk, collapse=False) == montecarlo._fold(chunk)
 
 
 # Each collapse case at the module's histogram slice, then with slices of 3
@@ -669,7 +695,7 @@ class TestCarAgainstClosedForm:
         # gate half the time, and one of 15% or 42% nine times in ten.
         cfg = replace(default_config(), num_pulses=10**10, seed=90_019)
         assert num_blocks(cfg) == 5
-        p, points = threshold_bin_probabilities(cfg), 40
+        p, points = expected_histogram(cfg), 40
         totals = dict.fromkeys(p, 0)
         for k in range(points):
             for delay, count in simulate_car_run(cfg, point=k).counts.items():
@@ -690,7 +716,7 @@ class TestFringeRun:
         for phi in (0.0, 0.5 * math.pi, math.pi):
             cfg = pairs_only_config(mu, n_slots, pulses, seed=50_000 + int(10 * phi))
             got = simulate_fringe_run(cfg, PhasePair(phi, 0.0))
-            expected = pulses * threshold_bin_probabilities(cfg, PhasePair(phi, 0.0))[0]
+            expected = pulses * expected_histogram(cfg, PhasePair(phi, 0.0))[0]
             assert abs(got - expected) <= 4 * math.sqrt(expected) + 3, f"phi={phi}"
 
     def test_phase_sum_pairs_conserve_counts(self):
@@ -703,7 +729,7 @@ class TestFringeRun:
         for k, theta in enumerate((0.0, 0.7, 2.1)):
             cfg = pairs_only_config(mu, 1000, pulses, seed=51_000 + k)
             expected = pulses * sum(
-                threshold_bin_probabilities(cfg, PhasePair(phi, 0.0))[0]
+                expected_histogram(cfg, PhasePair(phi, 0.0))[0]
                 for phi in (theta, theta + math.pi)
             )
             total = simulate_fringe_run(cfg, PhasePair(theta, 0.0)) + simulate_fringe_run(
@@ -723,7 +749,7 @@ class TestFringeRun:
         for k, phi in enumerate(phases):
             cfg = pairs_only_config(0.05, 5, 200_000, seed=52_000 + k)
             counts.append(simulate_fringe_run(cfg, PhasePair(phi, 0.0)))
-            expected.append(200_000 * threshold_bin_probabilities(cfg, PhasePair(phi, 0.0))[0])
+            expected.append(200_000 * expected_histogram(cfg, PhasePair(phi, 0.0))[0])
         fit = fit_fringe(phases, counts)
         assert fit.visibility == pytest.approx(fit_fringe(phases, expected).visibility, abs=0.04)
 
@@ -740,7 +766,7 @@ class TestFringeRun:
         # multi-pair accidentals everywhere and the one-slot-apart pairs at
         # +-1, summed over 40 seeds, each bin within 4 sigma.
         phases = PhasePair(1.0, 0.3)
-        p = threshold_bin_probabilities(cfg, phases)
+        p = expected_histogram(cfg, phases)
         n, runs = cfg.num_pulses, 40
         totals = dict.fromkeys(p, 0)
         for k in range(runs):
@@ -767,11 +793,11 @@ class TestFringeRun:
         # chunks of 1, 2 or 3 workers, folded in this process, the fold must
         # count a shared slot as one click, or every detection in it
         # uncollapsed, and equal the histogram of the whole run's detections.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: size)
-        affinity = lambda pid: {0, 1, 2}
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         cfg = pairs_only_config(8.0, 5, 10 * 20 + 3)
         phases = PhasePair(0.6, 0.0)
+        short_blocks(monkeypatch, size, cfg, phases)
+        affinity = lambda pid: {0, 1, 2}
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         ((run, *_),) = montecarlo._chunks(cfg, 0, 1, phases)
         blocks = [montecarlo._block(run, b) for b in range(-(-cfg.num_pulses // size))]
         assert any(slots[-1] == n for n, block in blocks for slots in block)
