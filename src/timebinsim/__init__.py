@@ -7,7 +7,7 @@ event-stream Monte Carlo (`montecarlo`), estimators (`fitting`), experiment
 description (`params`), and a CLI (`cli`).
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .analytic import (
     PairStatistics,

@@ -16,15 +16,18 @@ is a delay histogram of click pairs:
   mean and sets each estimate beside its closed form.
 
 Work scales with detections, not pulses. A stream is a Poisson total at
-uniform slots, i.e. an independent Poisson count per slot; thinning splits
-the pairs into independent streams (seen in both arms, one, neither). A
-slot hit with probability exactly d (a dark) is drawn at mean -log(1 - d)
-and collapsed to a slot set. A channel's detections are one ascending slot
-array with one entry per detection, so a slot with k detections appears k
-times. A block holds its slots relative to its first slot, as int32.
+uniform slots, i.e. an independent Poisson count per slot. Thinning splits
+the pairs into independent streams, and independent streams on the same
+slots sum to one, so a block draws five: pairs seen in both arms in one
+slot, each channel's own stream (its arm-only pair photons, noise and
+darks at mean -log(1 - d), so a slot holds a dark with probability exactly
+d), and pairs seen one slot apart. A channel's detections are one
+ascending slot array with one entry per detection, so a slot with k
+detections appears k times. A block holds its slots relative to its first
+slot, as int32.
 
 Reproducibility contract: every run enters through _chunks, which cuts it
-into consecutive blocks of block_pulses(cfg, sectors) pulses, sized so that
+into consecutive blocks of block_pulses(cfg, phases) pulses, sized so that
 a block expects about EVENTS_PER_BLOCK draws of the run's stream means (at
 least one pulse, at most MAX_BLOCK_PULSES). The size is a pure function of
 the config and the phase setting, and a Poisson process split at block
@@ -53,7 +56,7 @@ detections reach its first COINCIDENCE_WINDOW slots, only to build the tail
 it starts from, so every pair is counted in exactly one chunk. A chunk holds
 at least two blocks, so with blocks longer than COINCIDENCE_WINDOW the one
 block drawn again is at most a third of a chunk's work, and it expects at
-least 2 * EVENTS_PER_BLOCK draws, enough to pay for a process. A command
+least EVENTS_PER_BLOCK draws, enough to pay for a process. A command
 with one chunk in all, or one process to run them, runs in this process.
 
 numpy is imported inside the functions that draw and bin, so importing this
@@ -130,42 +133,44 @@ class CarCurveRow:
     car_stderr: float
 
 
-def _stream_means(cfg: ExperimentConfig, sectors: tuple | None = None) -> tuple[float, ...]:
-    """Per-slot means of a block's streams, in draw order.
+def _stream_means(cfg: ExperimentConfig, phases: PhasePair | None = None) -> tuple[float, ...]:
+    """Per-slot means of a block's five streams, in draw order.
 
-    Pairs seen in both arms in one slot, signal only, idler only, signal
-    noise, idler noise, signal darks, idler darks, then pairs seen one slot
-    apart, signal first and idler first. sectors are a fringe point's
-    sector_probabilities; without them (no interferometers) every pair is
+    Pairs seen in both arms in one slot; the signal channel's own stream,
+    its pair photons seen in the signal arm only, its noise and its darks;
+    the idler's own stream alike; then pairs seen one slot apart, signal
+    first and idler first. A fringe point at phases splits the pairs by
+    sector_probabilities; without phases (no interferometers) every pair is
     matched. Noise photons see an interferometer as a phase-insensitive 1/2
-    loss. A dark stream has mean -log(1 - d), so a slot holds one with
-    probability exactly d once its events are deduplicated.
+    loss. Darks have mean -log(1 - d), so a slot holds one with probability
+    exactly d.
     """
     stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
-    a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=sectors is not None)
-    matched, s_first, i_first, s_only, i_only = sectors or (1.0, 0.0, 0.0, 0.0, 0.0)
-    noise = 1.0 if sectors is None else 0.5
+    inside = phases is not None
+    a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=inside)
+    matched, s_first, i_first, s_only, i_only = (
+        sector_probabilities(cfg.coherence_slots, phases) if inside else (1.0, 0.0, 0.0, 0.0, 0.0)
+    )
+    noise = 0.5 if inside else 1.0
     mu_c = stats.mu_pairs
     kept = matched + s_first + i_first
     both = mu_c * a_s * a_i
+    own_s = (mu_c * (kept * (1.0 - a_i) + s_only) + stats.mu_noise_signal * noise) * a_s
+    own_i = (mu_c * (kept * (1.0 - a_s) + i_only) + stats.mu_noise_idler * noise) * a_i
     return (
         both * matched,
-        mu_c * a_s * (kept * (1.0 - a_i) + s_only),
-        mu_c * a_i * (kept * (1.0 - a_s) + i_only),
-        stats.mu_noise_signal * noise * a_s,
-        stats.mu_noise_idler * noise * a_i,
-        -log1p(-d_s),
-        -log1p(-d_i),
+        own_s - log1p(-d_s),
+        own_i - log1p(-d_i),
         both * s_first,
         both * i_first,
     )
 
 
-def block_pulses(cfg: ExperimentConfig, sectors: tuple | None = None) -> int:
+def block_pulses(cfg: ExperimentConfig, phases: PhasePair | None = None) -> int:
     """Pulses per block: about EVENTS_PER_BLOCK expected draws of the
-    streams _stream_means(cfg, sectors) gives, at least 1 and at most
+    streams _stream_means(cfg, phases) gives, at least 1 and at most
     MAX_BLOCK_PULSES."""
-    rate = sum(_stream_means(cfg, sectors))
+    rate = sum(_stream_means(cfg, phases))
     if rate * MAX_BLOCK_PULSES <= EVENTS_PER_BLOCK:
         return MAX_BLOCK_PULSES
     return max(1, int(EVENTS_PER_BLOCK / rate))
@@ -190,7 +195,7 @@ def _chunks(
     start..first - 1 are the earlier ones whose detections can reach block
     first's leading COINCIDENCE_WINDOW slots. There are at most
     _processes(workers) chunks, and at least one; each holds at least two
-    blocks and expects at least 2 * EVENTS_PER_BLOCK draws.
+    blocks and expects at least EVENTS_PER_BLOCK draws.
     """
     require_valid(cfg)
     if cfg.interferometers_present != (phases is not None):
@@ -199,16 +204,15 @@ def _chunks(
             if phases is not None
             else "histogram runs model the setup without interferometers"
         )
-    sectors = None if phases is None else sector_probabilities(cfg.coherence_slots, phases)
-    size = block_pulses(cfg, sectors)
-    means = _stream_means(cfg, sectors)
+    size = block_pulses(cfg, phases)
+    means = _stream_means(cfg, phases)
     if not sum(means) * size <= MAX_BLOCK_DRAWS:
         raise ValueError(
             f"invalid config: source.peak_power_w must keep a block's expected draws"
             f" within {MAX_BLOCK_DRAWS:.0e}, got {cfg.source.peak_power_w!r}"
         )
     blocks = -(-cfg.num_pulses // size)
-    draws = int(sum(means) * cfg.num_pulses // (2 * EVENTS_PER_BLOCK))
+    draws = int(sum(means) * cfg.num_pulses // EVENTS_PER_BLOCK)
     count = max(1, min(_processes(workers), blocks // 2, draws))
     edges = [blocks * k // count for k in range(count + 1)]
     lead = COINCIDENCE_WINDOW // size + 1
@@ -257,28 +261,21 @@ def _block(run: tuple, b: int, tail=None):
     entries before it in this block's slots: each channel's ascending slots
     relative to the block's first slot, one entry per detection.
 
-    The streams are drawn in the order of _stream_means. A recorded dark is
-    one detection, so each channel's darks are deduplicated before they join
-    the photons. A pair seen one slot apart puts its later photon in the
-    next slot, so the joined slots lie in [-COINCIDENCE_WINDOW, n]. Each
-    channel is one join, and the signal's own streams are freed first.
+    The five streams are drawn in the order of _stream_means. A pair seen
+    one slot apart puts its later photon in the next slot, so the joined
+    slots lie in [-COINCIDENCE_WINDOW, n]. Each channel is one join, and the
+    signal's own stream is freed first.
     """
     import numpy as np
 
     seed, point, size, pulses, means = run
     n = min(size, pulses - b * size)
     rng = np.random.default_rng((seed, b, point))
-    both, only_s, only_i, noise_s, noise_i, dark_s, dark_i, s_first, i_first = (
-        _events(rng, n, mean) for mean in means
-    )
+    both, own_s, own_i, s_first, i_first = (_events(rng, n, mean) for mean in means)
     tail_s, tail_i = tail or (both[:0],) * 2
-    signal = np.concatenate(
-        (tail_s, both, only_s, noise_s, _distinct(np.sort(dark_s)), s_first, i_first + 1)
-    )
-    del only_s, noise_s, dark_s
-    idler = np.concatenate(
-        (tail_i, both, only_i, noise_i, _distinct(np.sort(dark_i)), s_first + 1, i_first)
-    )
+    signal = np.concatenate((tail_s, both, own_s, s_first, i_first + 1))
+    del own_s
+    idler = np.concatenate((tail_i, both, own_i, s_first + 1, i_first))
     signal.sort()
     idler.sort()
     return n, (signal, idler)

@@ -21,7 +21,6 @@ from timebinsim import (
     default_config,
     expected_histogram,
     pump_power_for_mu,
-    sector_probabilities,
 )
 from timebinsim.montecarlo import block_pulses
 
@@ -76,8 +75,7 @@ def pairs_only_config(
 def num_blocks(cfg: ExperimentConfig, phases: PhasePair | None = None) -> int:
     """Blocks a run of cfg is cut into: a histogram run without phases, a
     fringe point at phases with them."""
-    sectors = None if phases is None else sector_probabilities(cfg.coherence_slots, phases)
-    return -(-cfg.num_pulses // block_pulses(cfg, sectors))
+    return -(-cfg.num_pulses // block_pulses(cfg, phases))
 
 
 def saturation_gap(source: SourceParams, mu_total: float, alpha: float, dark: float) -> tuple:

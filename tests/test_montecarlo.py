@@ -37,7 +37,7 @@ from timebinsim.montecarlo import (
     detected_counts,
     histogram_from_counts,
 )
-from timebinsim.params import SourceParams
+from timebinsim.params import SourceParams, arm_detection
 
 
 def brute_force_histogram(counts_s, counts_i, collapse):
@@ -63,14 +63,14 @@ def events_of(counts):
 
 class TestBlocks:
     def test_partition(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, phases=None: 40)
         for pulses, lengths in ((2 * 40 + 17, [40, 40, 17]), (40, [40]), (39, [39])):
             ((run, start, first, stop),) = montecarlo._chunks(lossless_config(4e-3, pulses), 0, 1)
             assert (start, first) == (0, 0)
             assert [montecarlo._block(run, b)[0] for b in range(stop)] == lengths
 
     def test_size_is_expected_events_over_draws_per_slot(self):
-        # Darks only: the two dark streams draw -log(1 - d) per slot each.
+        # Darks only: each channel's own stream draws -log(1 - d) per slot.
         # At 1e6 Hz a million draws take ~5.0e8 pulses; at 1e5 Hz they would
         # take ~5.0e9, beyond the cap.
         def darks(rate_hz):
@@ -86,9 +86,8 @@ class TestBlocks:
         # kept is both kept with both phases shifted by pi.
         fringe_cfg = pairs_only_config(4e-3, 1000, 1)
         mu = PairStatistics.from_power(fringe_cfg.source.peak_power_w, fringe_cfg.source).mu_pairs
-        sectors = sector_probabilities(1000, PhasePair(0.4, 0.0))
         p_none = sum(sector_probabilities(1000, PhasePair(0.4 + math.pi, math.pi))[:3])
-        assert block_pulses(fringe_cfg, sectors) == pytest.approx(
+        assert block_pulses(fringe_cfg, PhasePair(0.4, 0.0)) == pytest.approx(
             EVENTS_PER_BLOCK / (mu * (1 - p_none)), abs=1
         )
 
@@ -127,9 +126,8 @@ class TestBlocks:
 def short_blocks(monkeypatch, pulses, cfg, *phases):
     """Blocks of `pulses` pulses, each expecting at least EVENTS_PER_BLOCK
     draws of cfg at each of phases, or in a histogram run without them."""
-    sectors = [sector_probabilities(cfg.coherence_slots, p) for p in phases] or [None]
-    per_slot = min(sum(montecarlo._stream_means(cfg, s)) for s in sectors)
-    monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: pulses)
+    per_slot = min(sum(montecarlo._stream_means(cfg, p)) for p in phases or [None])
+    monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, phases=None: pulses)
     monkeypatch.setattr(montecarlo, "EVENTS_PER_BLOCK", pulses * per_slot)
 
 
@@ -211,7 +209,7 @@ class TestDispatch:
         # 16 points of 10 blocks each and P = min(workers, cores) <= 16
         # processes: one pool of P processes takes every point as one whole
         # chunk, so no block is drawn twice.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, phases=None: 40)
         affinity = lambda pid: set(range(cores))
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         drawn = []
@@ -262,7 +260,8 @@ class TestDispatch:
 
     def test_run_below_two_blocks_of_draws_opens_no_pool(self, monkeypatch, fake_pool, tmp_path):
         # mc-car --pulses 1e10 at the paper's losses: 5 blocks but ~4.7e5 draws,
-        # under a chunk's 2 * EVENTS_PER_BLOCK; larger runs keep their chunks.
+        # under a chunk's EVENTS_PER_BLOCK; larger runs keep their chunks, and
+        # the 4-block mean-1 run (~3.9e6 draws) is cut in two.
         affinity = lambda pid: {0, 1, 2}
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
         args = ["mc-car", "--out-dir", str(tmp_path / "out"), "--pulses", "10000000000"]
@@ -274,9 +273,12 @@ class TestDispatch:
         dense = lossless_config(1.0, 5_000_000)
         assert num_blocks(dense) == 7
         assert len(montecarlo._chunks(dense, 0, 3)) == 3
+        four = lossless_config(1.0, 3_000_000)
+        assert num_blocks(four) == 4
+        assert len(montecarlo._chunks(four, 0, 2)) == 2
 
     def test_one_worker_opens_no_pool(self, monkeypatch, fake_pool, tmp_path):
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, phases=None: 40)
         cfg = lossless_config(4e-3, 400, interferometers=True)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(timebinsim.config_to_dict(cfg)))
@@ -366,7 +368,7 @@ class TestReproducibility:
         # from default_rng((seed, b)); point p from default_rng((seed, b, p)).
         # With pairs only and unit alpha the signal detections are the first
         # stream, shifted by the block's first slot.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 1000)
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, phases=None: 1000)
         cfg = replace(pairs_only_config(0.05, 5, 2500, seed=77), interferometers_present=False)
         mu = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_pairs
         for point, key in ((0, ()), (2, (2,))):
@@ -387,16 +389,19 @@ class TestReproducibility:
         # point; at 0.7.0, a run above one draw per slot, whose blocks are
         # shorter than a million pulses; and at 0.8.0, mc-car --pulses
         # 10000000000 at the paper's losses, five blocks of at most
-        # MAX_BLOCK_PULSES. They change only together with __version__,
-        # since a change to the random streams bumps the version.
-        assert timebinsim.__version__ == "0.8.0"
+        # MAX_BLOCK_PULSES. At 0.9.0 darks join each channel's own stream,
+        # which moved the one-block, fringe and paper pins; the dark-free
+        # lossless pins drew the same streams. They change only together
+        # with __version__, since a change to the random streams bumps the
+        # version.
+        assert timebinsim.__version__ == "0.9.0"
         one_block = lossless_config(1e-2, 500_000, seed=123, dark_rate_hz=1e6)
         three_blocks = lossless_config(0.5, 3_000_000, seed=456)
         dense = lossless_config(1.0, 2_000_000, seed=654)
         assert num_blocks(three_blocks) == 3
         assert num_blocks(dense) == 3
         assert simulate_car_run(one_block).counts == {
-            -3: 67, -2: 74, -1: 46, 0: 376, 1: 49, 2: 71, 3: 65
+            -3: 69, -2: 67, -1: 52, 0: 381, 1: 53, 2: 67, 3: 61
         }
         assert simulate_car_run(three_blocks).counts == {
             -3: 463412, -2: 463944, -1: 463956, 0: 846831, 1: 464363, 2: 463900, 3: 464167
@@ -405,11 +410,11 @@ class TestReproducibility:
             -3: 798623, -2: 798531, -1: 798914, 0: 1068308, 1: 798624, 2: 798553, 3: 798281
         }
         fringe_cfg = lossless_config(0.05, 500_000, seed=789, dark_rate_hz=1e6, interferometers=True)
-        assert simulate_fringe_run(fringe_cfg, PhasePair(0.3, 0.2)) == 1485
+        assert simulate_fringe_run(fringe_cfg, PhasePair(0.3, 0.2)) == 1495
         paper = replace(default_config(), num_pulses=10**10)
         assert num_blocks(paper) == 5
         assert simulate_car_run(paper).counts == {
-            -3: 7, -2: 13, -1: 9, 0: 41, 1: 6, 2: 3, 3: 4
+            -3: 7, -2: 11, -1: 9, 0: 41, 1: 6, 2: 3, 3: 4
         }
 
     def test_sweep_points_do_not_reuse_the_next_seed(self):
@@ -497,16 +502,15 @@ class TestDetectedCounts:
         assert len(slots_s) > 0
 
     def test_darks_only_rate(self):
-        cfg = lossless_config(1e-3, 1_000_000, dark_rate_hz=1e7)  # d = 0.01/slot
+        n, d = 1_000_000, 0.01
+        cfg = lossless_config(1e-3, n, dark_rate_hz=1e7)  # d = 0.01/slot
         cfg = replace(cfg, source=replace(cfg.source, peak_power_w=0.0))
-        # A recorded dark is one detection, so each entry is one click.
+        # Darks join each channel's own stream at -log(1 - d) per slot, so a
+        # slot holds one or more of them with probability exactly d.
+        raw = -n * math.log1p(-d)
         for slots in detected_counts(cfg):
-            sigma = math.sqrt(1_000_000 * 0.01 * 0.99)
-            assert abs(len(slots) - 10_000) < 5 * sigma
-            # Distinct, though ~50 slots draw two darks at -log(1 - d) per slot.
-            assert np.all(np.diff(slots) > 0)
-        (chunk,) = montecarlo._chunks(cfg, 0, 1)  # so every detection pair is a click pair
-        assert montecarlo._fold(chunk, collapse=False) == montecarlo._fold(chunk)
+            assert abs(len(slots) - raw) < 5 * math.sqrt(raw)
+            assert abs(len(np.unique(slots)) - n * d) < 5 * math.sqrt(n * d * (1 - d))
 
 
 # Each collapse case at the module's histogram slice, then with slices of 3
@@ -542,7 +546,7 @@ class TestHistogram:
         # Five blocks of 40 slots, the last one 2 slots long; at two
         # detections per slot every block has events in its first and last
         # COINCIDENCE_WINDOW slots, so pairs cross every block edge.
-        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, sectors=None: 40)
+        monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, phases=None: 40)
         if slice_entries:
             monkeypatch.setattr(montecarlo, "HISTOGRAM_SLICE", slice_entries)
         cfg = lossless_config(2.0, 4 * 40 + 2)
@@ -665,7 +669,43 @@ class TestEstimateCar:
             estimate_car(simulate_car_run(cfg))
 
 
+def hotelling_t2(runs, expected) -> float:
+    """Hotelling's T^2 of K runs' bin counts against their expected mean:
+    K (x - expected)' S^-1 (x - expected), x the runs' mean and S their
+    sample covariance. For K independent normal runs with p bins,
+    T^2 (K - p) / (p (K - 1)) is F(p, K - p) distributed."""
+    counts = np.array(runs, dtype=float)
+    gap = counts.mean(axis=0) - np.asarray(expected)
+    return len(counts) * gap @ np.linalg.solve(np.cov(counts, rowvar=False), gap)
+
+
 class TestCarAgainstClosedForm:
+    # Saturated threshold detectors across block edges: channel mean 1 and
+    # darks at 0.3 per slot, in 50 runs of forty 100-pulse blocks, run k as
+    # sweep point k. At saturation the bins of one run are neither Poisson
+    # nor independent (their correlations are 0.79 or more), so each gate is
+    # Hotelling's T^2 over the 7 bins with the covariance of the runs. Its
+    # bound, 45.73, is 7 * 49 / 43 times the upper 1e-4 point of F(7, 43),
+    # so a correct sampler fails with probability 1e-4. The clicks gate
+    # fails on a 0.44% bias in one bin (1.0% in all seven alike) half the
+    # time, and on 0.56% (1.3%) nine times in ten; the raw gate on 0.90%
+    # (1.95%) and 1.15% (2.5%).
+    SATURATED_RUNS, SATURATED_BLOCK, SATURATED_T2 = 50, 100, 45.73
+
+    @pytest.fixture(scope="class")
+    def saturated(self):
+        """The saturated config and each run's click and raw delay counts."""
+        cfg = lossless_config(1.0, 40 * self.SATURATED_BLOCK - 1, seed=90_023, dark_rate_hz=3e8)
+        clicks, raw = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            short_blocks(patch, self.SATURATED_BLOCK, cfg)
+            for k in range(self.SATURATED_RUNS):
+                (chunk,) = montecarlo._chunks(cfg, k, 1)
+                assert chunk[1:] == (0, 0, 40)
+                clicks.append(list(montecarlo._fold(chunk).values()))
+                raw.append(list(montecarlo._fold(chunk, collapse=False).values()))
+        return cfg, clicks, raw
+
     def test_ten_point_sweep(self):
         # Graded pulse counts keep the accidental bins populated at low mu
         # without burning minutes at high mu. Darks at 2e-4 per slot anchor
@@ -703,6 +743,26 @@ class TestCarAgainstClosedForm:
         expected = {d: points * (cfg.num_pulses - abs(d)) * p[d] for d in p}
         chi2 = sum((totals[d] - expected[d]) ** 2 / expected[d] for d in p)
         assert chi2 < 29.88, (totals, expected)
+
+    def test_saturated_clicks_pool_to_closed_form(self, saturated):
+        cfg, clicks, _ = saturated
+        p, n = expected_histogram(cfg), cfg.num_pulses
+        t2 = hotelling_t2(clicks, [(n - abs(d)) * p[d] for d in p])
+        assert t2 < self.SATURATED_T2, np.sum(clicks, axis=0)
+
+    def test_saturated_raw_pool_to_closed_form(self, saturated):
+        # Every detection pair: each channel is Poisson(lam) in every slot
+        # and the matched pairs add m_0 at delay 0, so a slot pair at delay
+        # d holds lam_s lam_i + m_d detection pairs on average.
+        cfg, _, raw = saturated
+        stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
+        a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=False)
+        lam_s = (stats.mu_pairs + stats.mu_noise_signal) * a_s - math.log1p(-d_s)
+        lam_i = (stats.mu_pairs + stats.mu_noise_idler) * a_i - math.log1p(-d_i)
+        m = {0: stats.mu_pairs * a_s * a_i}
+        n = cfg.num_pulses
+        expected = [(n - abs(d)) * (lam_s * lam_i + m.get(d, 0.0)) for d in range(-3, 4)]
+        assert hotelling_t2(raw, expected) < self.SATURATED_T2, np.sum(raw, axis=0)
 
 
 class TestFringeRun:
