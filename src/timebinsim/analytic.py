@@ -9,6 +9,8 @@ single-channel noise mean grows linearly,
     mu_noise = noise_coeff * p * F
 
 Every function here is algebra on those two means; nothing is sampled.
+stream_means is the channel model, the five per-slot Poisson means that
+montecarlo draws and expected_histogram evaluates in closed form.
 """
 
 from __future__ import annotations
@@ -151,35 +153,58 @@ def predicted_visibility(
     return edge_cap * c / (c + 2.0 * a_acc)
 
 
+def stream_means(cfg: ExperimentConfig, phases: PhasePair | None = None) -> tuple[float, ...]:
+    """Per-slot Poisson means of the five independent streams a config's
+    detections split into, in montecarlo's draw order.
+
+    Thinning splits the pairs into independent streams, and independent
+    streams on the same slots sum to one. Pairs seen in both arms in one
+    slot; the signal channel's own stream, its pair photons seen in the
+    signal arm only, its noise and its darks; the idler's own stream alike;
+    then pairs seen one slot apart, signal first and idler first. A fringe
+    point at phases splits the pairs by sector_probabilities; without phases
+    (no interferometers) every pair is matched. Noise photons see an
+    interferometer as a phase-insensitive 1/2 loss. Darks have mean
+    -log(1 - d), so a slot holds one with probability exactly d.
+    """
+    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
+    inside = phases is not None
+    a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=inside)
+    matched, s_first, i_first, s_only, i_only = (
+        sector_probabilities(cfg.coherence_slots, phases) if inside else (1.0, 0.0, 0.0, 0.0, 0.0)
+    )
+    noise = 0.5 if inside else 1.0
+    mu_c = stats.mu_pairs
+    kept = matched + s_first + i_first
+    both = mu_c * a_s * a_i
+    own_s = (mu_c * (kept * (1.0 - a_i) + s_only) + stats.mu_noise_signal * noise) * a_s
+    own_i = (mu_c * (kept * (1.0 - a_s) + i_only) + stats.mu_noise_idler * noise) * a_i
+    return (
+        both * matched,
+        own_s - math.log1p(-d_s),
+        own_i - math.log1p(-d_i),
+        both * s_first,
+        both * i_first,
+    )
+
+
 def expected_histogram(cfg: ExperimentConfig, phases: PhasePair | None = None) -> dict[int, float]:
     """Click-pair probability of one slot pair by delay -3..3, exact per arm
     for threshold detectors: with the interferometers at phases, or without.
 
-    With lam_s, lam_i each channel's per-slot Poisson mean (darks at
-    -log(1 - d)) and m_d the pair mean the channels share at delay d (the
-    matched pairs at 0, signal first at +1, idler first at -1),
+    With stream_means' pair means m_d the channels share at delay d (matched
+    at 0, signal first at +1, idler first at -1) and each channel's per-slot
+    Poisson mean, lam_x = own_x + m_0 + m_1 + m_-1,
 
         P_d = click_s click_i + exp(-(lam_s + lam_i)) expm1(m_d).
 
     The singles do not depend on the phases, and the sectors only on their
     sum, so the fringe visibility is (P_0(0) - P_0(pi)) / (P_0(0) + P_0(pi)).
     """
-    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
-    inside = phases is not None
-    a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=inside)
-    if inside:
-        matched, s_first, i_first, s_only, i_only = sector_probabilities(cfg.coherence_slots, phases)
-        kept_s = matched + s_first + i_first + s_only
-        kept_i = matched + s_first + i_first + i_only
-        # Noise photons see an interferometer as a phase-insensitive 1/2 loss.
-        noise = 0.5
-    else:
-        matched, s_first, i_first = 1.0, 0.0, 0.0
-        kept_s = kept_i = noise = 1.0
-    lam_s = (stats.mu_pairs * kept_s + stats.mu_noise_signal * noise) * a_s - math.log1p(-d_s)
-    lam_i = (stats.mu_pairs * kept_i + stats.mu_noise_idler * noise) * a_i - math.log1p(-d_i)
-    shared = stats.mu_pairs * a_s * a_i
-    m = {0: shared * matched, 1: shared * s_first, -1: shared * i_first}
+    matched, own_s, own_i, s_first, i_first = stream_means(cfg, phases)
+    m = {0: matched, 1: s_first, -1: i_first}
+    lam_s = own_s + matched + s_first + i_first
+    lam_i = own_i + matched + s_first + i_first
     click_s, click_i = -math.expm1(-lam_s), -math.expm1(-lam_i)
     quiet = math.exp(-(lam_s + lam_i))
     return {d: click_s * click_i + quiet * math.expm1(m.get(d, 0.0)) for d in range(-3, 4)}

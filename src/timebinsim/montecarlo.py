@@ -1,10 +1,9 @@
 """Event-stream Monte Carlo of the source and detection chain.
 
-One sampler serves both run types. Pairs are a Poisson stream; with both
-interferometers in, each pair falls into a sector with the closed-form
-probabilities of quantum.sector_probabilities: both photons kept in one
-slot, kept one slot apart, one kept, or neither. Kept photons are thinned by
-the channel alphas, and noise photons and dark counts join them. Each run
+One sampler serves both run types. It draws the channel model of
+analytic.stream_means, the one expected_histogram evaluates: pairs split
+into the sectors of quantum.sector_probabilities and thinned by the channel
+alphas, with noise photons and dark counts joining each channel. Each run
 is a delay histogram of click pairs:
 
 * coincidence-histogram runs (no interferometers) feed the
@@ -16,15 +15,12 @@ is a delay histogram of click pairs:
   mean and sets each estimate beside its closed form.
 
 Work scales with detections, not pulses. A stream is a Poisson total at
-uniform slots, i.e. an independent Poisson count per slot. Thinning splits
-the pairs into independent streams, and independent streams on the same
-slots sum to one, so a block draws five: pairs seen in both arms in one
-slot, each channel's own stream (its arm-only pair photons, noise and
-darks at mean -log(1 - d), so a slot holds a dark with probability exactly
-d), and pairs seen one slot apart. A channel's detections are one
-ascending slot array with one entry per detection, so a slot with k
-detections appears k times. A block holds its slots relative to its first
-slot, as int32.
+uniform slots, i.e. an independent Poisson count per slot, and a block
+draws the five streams of stream_means: pairs seen in both arms in one
+slot, each channel's own stream, and pairs seen one slot apart. A channel's
+detections are one ascending slot array with one entry per detection, so a
+slot with k detections appears k times. A block holds its slots relative to
+its first slot, as int32.
 
 Reproducibility contract: every run enters through _chunks, which cuts it
 into consecutive blocks of block_pulses(cfg, phases) pulses, sized so that
@@ -56,8 +52,9 @@ detections reach its first COINCIDENCE_WINDOW slots, only to build the tail
 it starts from, so every pair is counted in exactly one chunk. A chunk holds
 at least two blocks, so with blocks longer than COINCIDENCE_WINDOW the one
 block drawn again is at most a third of a chunk's work, and it expects at
-least EVENTS_PER_BLOCK draws, enough to pay for a process. A command
-with one chunk in all, or one process to run them, runs in this process.
+least EVENTS_PER_BLOCK draws. At the default losses a pool of two measured
+no faster than one process up to ~2e6 draws (2 vCPUs). A command with one
+chunk in all, or one process to run them, runs in this process.
 
 numpy is imported inside the functions that draw and bin, so importing this
 module, and every command that samples nothing, runs on the standard
@@ -74,17 +71,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from math import log1p, sqrt
+from math import sqrt
 
-from .analytic import PairStatistics, expected_histogram, pump_power_for_mu
-from .params import ExperimentConfig, arm_detection, require_valid
-from .quantum import PhasePair, sector_probabilities
+from .analytic import expected_histogram, pump_power_for_mu, stream_means
+from .params import ExperimentConfig, require_valid
+from .quantum import PhasePair
 
 # Accidental window: delays -3..+3 around the true-coincidence bin.
 COINCIDENCE_WINDOW = 3
 # Expected draws per block, the unit of seeding and of the fold, at any
-# density. At ~5e-8 s per event a million is ~50 ms of work, so per-block
-# overhead is small and a block's arrays stay at a few MiB.
+# density. The fold measured ~70 ns a draw at the default losses and
+# 119-146 ns on dense blocks (2 vCPUs), so a million is 0.07-0.15 s of
+# work: per-block overhead is small and a block's arrays stay at a few MiB.
 EVENTS_PER_BLOCK = 1_000_000
 # Largest block, in pulses; it bounds the peak memory of sparse runs. Every
 # value the fold computes, up to the spill slot plus COINCIDENCE_WINDOW,
@@ -133,44 +131,11 @@ class CarCurveRow:
     car_stderr: float
 
 
-def _stream_means(cfg: ExperimentConfig, phases: PhasePair | None = None) -> tuple[float, ...]:
-    """Per-slot means of a block's five streams, in draw order.
-
-    Pairs seen in both arms in one slot; the signal channel's own stream,
-    its pair photons seen in the signal arm only, its noise and its darks;
-    the idler's own stream alike; then pairs seen one slot apart, signal
-    first and idler first. A fringe point at phases splits the pairs by
-    sector_probabilities; without phases (no interferometers) every pair is
-    matched. Noise photons see an interferometer as a phase-insensitive 1/2
-    loss. Darks have mean -log(1 - d), so a slot holds one with probability
-    exactly d.
-    """
-    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
-    inside = phases is not None
-    a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=inside)
-    matched, s_first, i_first, s_only, i_only = (
-        sector_probabilities(cfg.coherence_slots, phases) if inside else (1.0, 0.0, 0.0, 0.0, 0.0)
-    )
-    noise = 0.5 if inside else 1.0
-    mu_c = stats.mu_pairs
-    kept = matched + s_first + i_first
-    both = mu_c * a_s * a_i
-    own_s = (mu_c * (kept * (1.0 - a_i) + s_only) + stats.mu_noise_signal * noise) * a_s
-    own_i = (mu_c * (kept * (1.0 - a_s) + i_only) + stats.mu_noise_idler * noise) * a_i
-    return (
-        both * matched,
-        own_s - log1p(-d_s),
-        own_i - log1p(-d_i),
-        both * s_first,
-        both * i_first,
-    )
-
-
 def block_pulses(cfg: ExperimentConfig, phases: PhasePair | None = None) -> int:
     """Pulses per block: about EVENTS_PER_BLOCK expected draws of the
-    streams _stream_means(cfg, phases) gives, at least 1 and at most
+    streams stream_means(cfg, phases) gives, at least 1 and at most
     MAX_BLOCK_PULSES."""
-    rate = sum(_stream_means(cfg, phases))
+    rate = sum(stream_means(cfg, phases))
     if rate * MAX_BLOCK_PULSES <= EVENTS_PER_BLOCK:
         return MAX_BLOCK_PULSES
     return max(1, int(EVENTS_PER_BLOCK / rate))
@@ -205,7 +170,7 @@ def _chunks(
             else "histogram runs model the setup without interferometers"
         )
     size = block_pulses(cfg, phases)
-    means = _stream_means(cfg, phases)
+    means = stream_means(cfg, phases)
     if not sum(means) * size <= MAX_BLOCK_DRAWS:
         raise ValueError(
             f"invalid config: source.peak_power_w must keep a block's expected draws"
@@ -261,7 +226,7 @@ def _block(run: tuple, b: int, tail=None):
     entries before it in this block's slots: each channel's ascending slots
     relative to the block's first slot, one entry per detection.
 
-    The five streams are drawn in the order of _stream_means. A pair seen
+    The five streams are drawn in the order of stream_means. A pair seen
     one slot apart puts its later photon in the next slot, so the joined
     slots lie in [-COINCIDENCE_WINDOW, n]. Each channel is one join, and the
     signal's own stream is freed first.

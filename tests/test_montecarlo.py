@@ -27,6 +27,7 @@ from timebinsim import (
     simulate_car_run,
     simulate_fringe_run,
 )
+from timebinsim.analytic import stream_means
 from timebinsim.cli import main
 from timebinsim.montecarlo import (
     COINCIDENCE_WINDOW,
@@ -126,7 +127,7 @@ class TestBlocks:
 def short_blocks(monkeypatch, pulses, cfg, *phases):
     """Blocks of `pulses` pulses, each expecting at least EVENTS_PER_BLOCK
     draws of cfg at each of phases, or in a histogram run without them."""
-    per_slot = min(sum(montecarlo._stream_means(cfg, p)) for p in phases or [None])
+    per_slot = min(sum(stream_means(cfg, p)) for p in phases or [None])
     monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, phases=None: pulses)
     monkeypatch.setattr(montecarlo, "EVENTS_PER_BLOCK", pulses * per_slot)
 
@@ -679,32 +680,44 @@ def hotelling_t2(runs, expected) -> float:
     return len(counts) * gap @ np.linalg.solve(np.cov(counts, rowvar=False), gap)
 
 
+# The pooled gates of the saturated regimes: T2_RUNS runs, run k as sweep
+# point k, each run's bins folded both ways. At saturation the bins of one
+# run are neither Poisson nor independent, so each gate is Hotelling's T^2
+# over the 7 bins with the covariance of the runs. Its bound, 45.73, is
+# 7 * 49 / 43 times the upper 1e-4 point of F(7, 43), so a correct sampler
+# fails with probability 1e-4.
+T2_RUNS, T2_BOUND = 50, 45.73
+
+
+def pooled_folds(cfg, block, phases=None) -> tuple[list, list]:
+    """Click and raw delay counts of T2_RUNS runs of cfg, each one chunk of
+    `block`-pulse blocks: a histogram run without phases, a fringe point at
+    phases with them."""
+    clicks, raw = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        short_blocks(patch, block, cfg, phases)
+        for k in range(T2_RUNS):
+            (chunk,) = montecarlo._chunks(cfg, k, 1, phases)
+            assert chunk[1:] == (0, 0, -(-cfg.num_pulses // block))
+            clicks.append(list(montecarlo._fold(chunk).values()))
+            raw.append(list(montecarlo._fold(chunk, collapse=False).values()))
+    return clicks, raw
+
+
 class TestCarAgainstClosedForm:
     # Saturated threshold detectors across block edges: channel mean 1 and
-    # darks at 0.3 per slot, in 50 runs of forty 100-pulse blocks, run k as
-    # sweep point k. At saturation the bins of one run are neither Poisson
-    # nor independent (their correlations are 0.79 or more), so each gate is
-    # Hotelling's T^2 over the 7 bins with the covariance of the runs. Its
-    # bound, 45.73, is 7 * 49 / 43 times the upper 1e-4 point of F(7, 43),
-    # so a correct sampler fails with probability 1e-4. The clicks gate
-    # fails on a 0.44% bias in one bin (1.0% in all seven alike) half the
-    # time, and on 0.56% (1.3%) nine times in ten; the raw gate on 0.90%
+    # darks at 0.3 per slot, in runs of forty 100-pulse blocks, the last one
+    # pulse short. The bins of one run correlate at 0.79 or more. The clicks
+    # gate fails on a 0.44% bias in one bin (1.0% in all seven alike) half
+    # the time, and on 0.56% (1.3%) nine times in ten; the raw gate on 0.90%
     # (1.95%) and 1.15% (2.5%).
-    SATURATED_RUNS, SATURATED_BLOCK, SATURATED_T2 = 50, 100, 45.73
+    SATURATED_BLOCK = 100
 
     @pytest.fixture(scope="class")
     def saturated(self):
         """The saturated config and each run's click and raw delay counts."""
         cfg = lossless_config(1.0, 40 * self.SATURATED_BLOCK - 1, seed=90_023, dark_rate_hz=3e8)
-        clicks, raw = [], []
-        with pytest.MonkeyPatch.context() as patch:
-            short_blocks(patch, self.SATURATED_BLOCK, cfg)
-            for k in range(self.SATURATED_RUNS):
-                (chunk,) = montecarlo._chunks(cfg, k, 1)
-                assert chunk[1:] == (0, 0, 40)
-                clicks.append(list(montecarlo._fold(chunk).values()))
-                raw.append(list(montecarlo._fold(chunk, collapse=False).values()))
-        return cfg, clicks, raw
+        return (cfg, *pooled_folds(cfg, self.SATURATED_BLOCK))
 
     def test_ten_point_sweep(self):
         # Graded pulse counts keep the accidental bins populated at low mu
@@ -748,12 +761,15 @@ class TestCarAgainstClosedForm:
         cfg, clicks, _ = saturated
         p, n = expected_histogram(cfg), cfg.num_pulses
         t2 = hotelling_t2(clicks, [(n - abs(d)) * p[d] for d in p])
-        assert t2 < self.SATURATED_T2, np.sum(clicks, axis=0)
+        assert t2 < T2_BOUND, np.sum(clicks, axis=0)
 
     def test_saturated_raw_pool_to_closed_form(self, saturated):
         # Every detection pair: each channel is Poisson(lam) in every slot
         # and the matched pairs add m_0 at delay 0, so a slot pair at delay
-        # d holds lam_s lam_i + m_d detection pairs on average.
+        # d holds lam_s lam_i + m_d detection pairs on average. lam and m are
+        # written out here, not read from analytic.stream_means, which both
+        # the sampler and expected_histogram draw on: this gate and the
+        # satellite raw gate are the independent derivation of those means.
         cfg, _, raw = saturated
         stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
         a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=False)
@@ -762,7 +778,51 @@ class TestCarAgainstClosedForm:
         m = {0: stats.mu_pairs * a_s * a_i}
         n = cfg.num_pulses
         expected = [(n - abs(d)) * (lam_s * lam_i + m.get(d, 0.0)) for d in range(-3, 4)]
-        assert hotelling_t2(raw, expected) < self.SATURATED_T2, np.sum(raw, axis=0)
+        assert hotelling_t2(raw, expected) < T2_BOUND, np.sum(raw, axis=0)
+
+
+class TestFringeAgainstClosedForm:
+    # A fringe point with satellites, in runs of 120 one-pulse blocks: eight
+    # pairs per pulse, no noise or darks, and arms that detect half their
+    # photons, so each arm also sees pairs whose partner the other arm missed
+    # (the kept (1 - alpha) term of the own streams). A channel holds ~2
+    # detections a slot. Every pair one slot apart spills its later photon
+    # past its block, into the slot the next block's tail carries.
+    SATELLITE_BLOCK = 1
+
+    @pytest.fixture(scope="class")
+    def satellites(self):
+        """The fringe config, its phases and each run's click and raw delay
+        counts."""
+        cfg = pairs_only_config(8.0, 1000, 120 * self.SATELLITE_BLOCK, seed=90_029)
+        half = {"detector_efficiency": 0.5}
+        cfg = replace(cfg, signal=replace(cfg.signal, **half), idler=replace(cfg.idler, **half))
+        phases = PhasePair(1.0, 0.3)
+        return (cfg, phases, *pooled_folds(cfg, self.SATELLITE_BLOCK, phases))
+
+    def test_satellite_clicks_pool_to_closed_form(self, satellites):
+        cfg, phases, clicks, _ = satellites
+        p, n = expected_histogram(cfg, phases), cfg.num_pulses
+        t2 = hotelling_t2(clicks, [(n - abs(d)) * p[d] for d in p])
+        assert t2 < T2_BOUND, np.sum(clicks, axis=0)
+
+    def test_satellite_raw_pool_to_closed_form(self, satellites):
+        # As the saturated raw gate, from the sectors: each channel keeps
+        # its pairs' photons in every sector but the other arm's alone, and
+        # half its noise, and the pairs both arms see add m_d at delays 0
+        # and +-1.
+        cfg, phases, _, raw = satellites
+        stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
+        a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=True)
+        matched, s_first, i_first, s_only, i_only = sector_probabilities(cfg.coherence_slots, phases)
+        kept = matched + s_first + i_first
+        lam_s = (stats.mu_pairs * (kept + s_only) + stats.mu_noise_signal / 2) * a_s - math.log1p(-d_s)
+        lam_i = (stats.mu_pairs * (kept + i_only) + stats.mu_noise_idler / 2) * a_i - math.log1p(-d_i)
+        shared = stats.mu_pairs * a_s * a_i
+        m = {0: shared * matched, 1: shared * s_first, -1: shared * i_first}
+        n = cfg.num_pulses
+        expected = [(n - abs(d)) * (lam_s * lam_i + m.get(d, 0.0)) for d in range(-3, 4)]
+        assert hotelling_t2(raw, expected) < T2_BOUND, np.sum(raw, axis=0)
 
 
 class TestFringeRun:
