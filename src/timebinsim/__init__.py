@@ -50,7 +50,6 @@ from .params import (
 )
 from .quantum import (
     PhasePair,
-    fringe,
     ideal_visibility,
     sector_probabilities,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "effective_alpha",
     "validate_config",
     "PhasePair",
-    "fringe",
     "ideal_visibility",
     "sector_probabilities",
 ]

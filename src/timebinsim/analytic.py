@@ -18,8 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ExperimentConfig, SourceParams, arm_detection
+from .params import ExperimentConfig, SourceParams, arm_detection, require_valid
 from .quantum import PhasePair, ideal_visibility, sector_probabilities
+
+# Accidental window: delays -3..+3 around the true-coincidence bin.
+COINCIDENCE_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -196,18 +199,21 @@ def expected_histogram(cfg: ExperimentConfig, phases: PhasePair | None = None) -
     at 0, signal first at +1, idler first at -1) and each channel's per-slot
     Poisson mean, lam_x = own_x + m_0 + m_1 + m_-1,
 
-        P_d = click_s click_i + exp(-(lam_s + lam_i)) expm1(m_d).
+        P_d = click_s click_i + exp(-(lam_s + lam_i)) expm1(m_d),
 
-    The singles do not depend on the phases, and the sectors only on their
-    sum, so the fringe visibility is (P_0(0) - P_0(pi)) / (P_0(0) + P_0(pi)).
+    whose second term is evaluated as exp(m_d - lam_s - lam_i)
+    (-expm1(-m_d)), finite at any finite mean. The singles do not depend on
+    the phases, and the sectors only on their sum, so the fringe visibility
+    is (P_0(0) - P_0(pi)) / (P_0(0) + P_0(pi)).
     """
+    require_valid(cfg)
     matched, own_s, own_i, s_first, i_first = stream_means(cfg, phases)
-    m = {0: matched, 1: s_first, -1: i_first}
+    m = dict.fromkeys(range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1), 0.0)
+    m.update({0: matched, 1: s_first, -1: i_first})
     lam_s = own_s + matched + s_first + i_first
     lam_i = own_i + matched + s_first + i_first
-    click_s, click_i = -math.expm1(-lam_s), -math.expm1(-lam_i)
-    quiet = math.exp(-(lam_s + lam_i))
-    return {d: click_s * click_i + quiet * math.expm1(m.get(d, 0.0)) for d in range(-3, 4)}
+    clicks = -math.expm1(-lam_s) * -math.expm1(-lam_i)
+    return {d: clicks + math.exp(m_d - lam_s - lam_i) * -math.expm1(-m_d) for d, m_d in m.items()}
 
 
 def estimate_gamma(pair_coeff: float, device_length_m: float) -> float:

@@ -47,14 +47,15 @@ phases of a fringe sweep, the rows of a CAR curve) and sends it every
 chunk. A chunk is a contiguous run of one point's blocks; a process folds it
 and returns the 7 delay counts, and the parent adds each point's chunks.
 A point is cut into several chunks only when the command has fewer points
-than processes. A chunk first draws again the few blocks before it whose
-detections reach its first COINCIDENCE_WINDOW slots, only to build the tail
-it starts from, so every pair is counted in exactly one chunk. A chunk holds
-at least two blocks, so with blocks longer than COINCIDENCE_WINDOW the one
-block drawn again is at most a third of a chunk's work, and it expects at
-least EVENTS_PER_BLOCK draws. At the default losses a pool of two measured
-no faster than one process up to ~2e6 draws (2 vCPUs). A command with one
-chunk in all, or one process to run them, runs in this process.
+than processes. The fold of a chunk first draws again the few blocks before
+it whose detections reach its first COINCIDENCE_WINDOW slots, only to build
+the tail it starts from, so every pair is counted in exactly one chunk. A
+chunk holds at least two blocks, so with blocks longer than
+COINCIDENCE_WINDOW the one block drawn again is at most a third of a chunk's
+work, and it expects at least EVENTS_PER_BLOCK draws. At the default losses
+a pool of two measured no faster than one process up to ~2e6 draws (2
+vCPUs). A command with one chunk in all, or one process to run them, runs
+in this process.
 
 numpy is imported inside the functions that draw and bin, so importing this
 module, and every command that samples nothing, runs on the standard
@@ -73,12 +74,10 @@ import os
 from dataclasses import dataclass, replace
 from math import sqrt
 
-from .analytic import expected_histogram, pump_power_for_mu, stream_means
+from .analytic import COINCIDENCE_WINDOW, expected_histogram, pump_power_for_mu, stream_means
 from .params import ExperimentConfig, require_valid
 from .quantum import PhasePair
 
-# Accidental window: delays -3..+3 around the true-coincidence bin.
-COINCIDENCE_WINDOW = 3
 # Expected draws per block, the unit of seeding and of the fold, at any
 # density. The fold measured ~70 ns a draw at the default losses and
 # 119-146 ns on dense blocks (2 vCPUs), so a million is 0.07-0.15 s of
@@ -156,11 +155,9 @@ def _chunks(
     The only way into a run: the config is checked, the blocks are sized and
     the run is (seed, point, block length, pulses, stream means), whose
     block b _block draws from the key (cfg.seed, b, point). A chunk
-    (run, start, first, stop) counts blocks first..stop - 1; blocks
-    start..first - 1 are the earlier ones whose detections can reach block
-    first's leading COINCIDENCE_WINDOW slots. There are at most
-    _processes(workers) chunks, and at least one; each holds at least two
-    blocks and expects at least EVENTS_PER_BLOCK draws.
+    (run, first, stop) names the blocks first..stop - 1 it counts. There
+    are at most _processes(workers) chunks, and at least one; each holds at
+    least two blocks and expects at least EVENTS_PER_BLOCK draws.
     """
     require_valid(cfg)
     if cfg.interferometers_present != (phases is not None):
@@ -180,9 +177,8 @@ def _chunks(
     draws = int(sum(means) * cfg.num_pulses // EVENTS_PER_BLOCK)
     count = max(1, min(_processes(workers), blocks // 2, draws))
     edges = [blocks * k // count for k in range(count + 1)]
-    lead = COINCIDENCE_WINDOW // size + 1
     run = (cfg.seed, point, size, cfg.num_pulses, means)
-    return [(run, max(0, first - lead), first, stop) for first, stop in zip(edges, edges[1:])]
+    return [(run, first, stop) for first, stop in zip(edges, edges[1:])]
 
 
 def _map(worker, items: list, processes: int) -> list:
@@ -250,7 +246,7 @@ def _detections(chunk) -> tuple:
     """Each channel's detections in a chunk's blocks: ascending int64 run slots."""
     import numpy as np
 
-    run, _, first, stop = chunk
+    run, first, stop = chunk
     size = run[2]
     parts = [[s.astype(np.int64) + b * size for s in _block(run, b)[1]] for b in range(first, stop)]
     return tuple(np.concatenate(slots) for slots in zip(*parts))
@@ -293,30 +289,29 @@ def histogram_from_counts(signal, idler) -> dict[int, int]:
     return {delay: int(binned[delay + window]) for delay in range(-window, window + 1)}
 
 
-def _fold(chunk, collapse: bool = True) -> dict[int, int]:
-    """Delay counts of the pairs whose later-drawn detection is in one of a
-    chunk's counted blocks: click pairs with collapse, else every detection
-    pair.
+def _fold(chunk) -> dict[int, int]:
+    """Click-pair counts by delay of the pairs whose later-drawn detection
+    is in one of a chunk's blocks.
 
-    The tail, each channel's entries from COINCIDENCE_WINDOW slots before
-    the next block's first slot on, joins that block in its slots. Adding
-    the histogram of tail + block and subtracting the tail's own counts
-    every pair within the block or across its leading edge exactly once. A
-    later photon that spilled past the previous block is in the tail, and
-    the block may fill its slot too. With collapse, each joined channel in
-    turn becomes its distinct slots, so the tail is already a click set.
-    The blocks before the first counted one only build its tail.
+    The tail, each channel's clicks from COINCIDENCE_WINDOW slots before
+    the next block's first slot on, joins that block in its slots, and each
+    joined channel in turn becomes its distinct slots. Adding the histogram
+    of tail + block and subtracting the tail's own counts every pair within
+    the block or across its leading edge exactly once. A later photon that
+    spilled past the previous block is in the tail, and the block may fill
+    its slot too: it is one click. The fold first draws again the blocks
+    before the chunk whose detections can reach its leading
+    COINCIDENCE_WINDOW slots, only to build the tail it starts from.
     """
     import numpy as np
 
-    run, start, first, stop = chunk
+    run, first, stop = chunk
     totals = dict.fromkeys(range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1), 0)
     tail = (np.empty(0, dtype=np.int32),) * 2
-    for b in range(start, stop):
+    for b in range(max(0, first - COINCIDENCE_WINDOW // run[2] - 1), stop):
         n, (signal, idler) = _block(run, b, tail)
-        if collapse:
-            signal = _distinct(signal)
-            idler = _distinct(idler)
+        signal = _distinct(signal)
+        idler = _distinct(idler)
         if b >= first:
             added = histogram_from_counts(signal, idler)
             counted = histogram_from_counts(*tail)

@@ -57,16 +57,6 @@ def _matched(n_slots: int, phases: PhasePair, sign: int) -> float:
     return (2 + 2 * (n_slots - 1) * inner) / (16 * n_slots)
 
 
-def fringe(n_slots: int, phases: PhasePair) -> float:
-    """Matched-coincidence probability after both interferometers.
-
-    [2 + 2(n-1)(1 + cos(phi_s + phi_i))] / (16 n): it depends on the phases
-    only through their sum and is bounded by the double post-selection at
-    1/4.
-    """
-    return _matched(n_slots, phases, 1)
-
-
 def sector_probabilities(
     n_slots: int, phases: PhasePair
 ) -> tuple[float, float, float, float, float]:

@@ -34,10 +34,10 @@ from timebinsim import (
     expected_histogram,
     fit_fringe,
     fit_scaling,
-    fringe,
     ideal_visibility,
     predicted_visibility,
     pump_power_for_mu,
+    sector_probabilities,
     simulate_car_run,
     simulate_fringe_run,
 )
@@ -135,7 +135,7 @@ def test_criterion_4_fringe_visibility_predicted_and_sampled():
 def test_criterion_5_slot_count_law_of_the_exact_engine():
     worst = 0.0
     for n in (2, 3, 5, 10, 64):
-        probabilities = [fringe(n, PhasePair(float(p), 0.0)) for p in PHASES_16]
+        probabilities = [sector_probabilities(n, PhasePair(float(p), 0.0))[0] for p in PHASES_16]
         fit = fit_fringe(PHASES_16, probabilities)
         worst = max(worst, abs(fit.visibility - (n - 1) / n))
     exact_half = ideal_visibility(2) == 0.5

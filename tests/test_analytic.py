@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import saturation_gap
+from conftest import lossless_config, saturation_gap
 from timebinsim import (
     PairStatistics,
     PhasePair,
@@ -253,6 +253,23 @@ class TestPredictedVisibility:
         )
         with pytest.raises(ValueError, match="visibility"):
             predicted_visibility(empty, 1.0, 1.0, 0.0, 0.0, 1000)
+
+
+class TestExpectedHistogram:
+    @pytest.mark.parametrize("phases", [None, PhasePair(1.0, 0.3)])
+    def test_pump_power_at_the_float_range(self, baseline, phases):
+        # At 1e100 W every mean is finite and both arms click in every slot,
+        # so each bin is 1, with no overflow of exp(m_d) on the way. At
+        # 1e200 W the pair mean overflows, and the config is refused in one
+        # line, not returned as NaN bins.
+        for cfg in (baseline, lossless_config(1.0, 10)):
+            cfg = replace(cfg, interferometers_present=phases is not None)
+            huge = replace(cfg, source=replace(cfg.source, peak_power_w=1e100))
+            assert expected_histogram(huge, phases) == dict.fromkeys(range(-3, 4), 1.0)
+            beyond = replace(cfg, source=replace(cfg.source, peak_power_w=1e200))
+            with pytest.raises(ValueError, match="peak_power_w must keep the channel mean finite") as exc:
+                expected_histogram(beyond, phases)
+            assert "\n" not in str(exc.value)
 
 
 class TestEstimateGamma:

@@ -21,7 +21,6 @@ from timebinsim import (
     default_config,
     estimate_car,
     expected_histogram,
-    fringe,
     pump_power_for_mu,
     sector_probabilities,
     simulate_car_run,
@@ -66,8 +65,8 @@ class TestBlocks:
     def test_partition(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "block_pulses", lambda cfg, phases=None: 40)
         for pulses, lengths in ((2 * 40 + 17, [40, 40, 17]), (40, [40]), (39, [39])):
-            ((run, start, first, stop),) = montecarlo._chunks(lossless_config(4e-3, pulses), 0, 1)
-            assert (start, first) == (0, 0)
+            ((run, first, stop),) = montecarlo._chunks(lossless_config(4e-3, pulses), 0, 1)
+            assert first == 0
             assert [montecarlo._block(run, b)[0] for b in range(stop)] == lengths
 
     def test_size_is_expected_events_over_draws_per_slot(self):
@@ -109,8 +108,8 @@ class TestBlocks:
         # cut into one or two chunks equals the click histogram of the whole
         # run's int64 slots.
         cfg = replace(default_config(), num_pulses=2 * MAX_BLOCK_PULSES + 5)
-        ((run, start, first, stop),) = montecarlo._chunks(cfg, 0, 1)
-        assert (start, first, stop) == (0, 0, 3)
+        ((run, first, stop),) = montecarlo._chunks(cfg, 0, 1)
+        assert (first, stop) == (0, 3)
         for b in range(stop):
             assert [slots.dtype for slots in montecarlo._block(run, b)[1]] == [np.int32] * 2
         signal, idler = detected_counts(cfg)
@@ -118,9 +117,9 @@ class TestBlocks:
         assert signal[-1] >= 2**31 and idler[-1] >= 2**31
         whole = histogram_from_counts(np.unique(signal), np.unique(idler))
         assert sum(whole.values()) > 0
-        assert montecarlo._fold((run, 0, 0, stop)) == whole
+        assert montecarlo._fold((run, 0, stop)) == whole
         for cut in (1, 2):
-            parts = [montecarlo._fold((run, 0, 0, cut)), montecarlo._fold((run, cut - 1, cut, stop))]
+            parts = [montecarlo._fold((run, 0, cut)), montecarlo._fold((run, cut, stop))]
             assert {d: sum(part[d] for part in parts) for d in whole} == whole
 
 
@@ -189,14 +188,20 @@ class TestDispatch:
         else:
             affinity = lambda pid: set(range(cores))
             monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
+        drawn = []
+        block = montecarlo._block
+        monkeypatch.setattr(
+            montecarlo, "_block", lambda run, b, tail: drawn.append(b) or block(run, b, tail)
+        )
         chunks = montecarlo._chunks(cfg, 0, workers)
-        # Contiguous chunks cover every block once; each draws again from
-        # the first earlier block whose detections reach its first slots.
-        assert [first for _, _, first, _ in chunks] == [0] + [stop for *_, stop in chunks[:-1]]
-        assert chunks[-1][3] == blocks
-        assert [chunk[1] for chunk in chunks] == [max(0, chunk[2] - 1) for chunk in chunks]
+        # Contiguous chunks cover every block once.
+        assert [first for _, first, _ in chunks] == [0] + [stop for *_, stop in chunks[:-1]]
+        assert chunks[-1][2] == blocks
         assert len(chunks) == (size or 1)
         simulate_car_run(cfg, workers)
+        # The fold of each chunk draws again the one earlier block whose
+        # detections reach its first slots.
+        assert drawn == [b for _, first, stop in chunks for b in range(max(0, first - 1), stop)]
         # cpu_count() None counts as one core, and one chunk needs no pool:
         # serial, no pool at all.
         assert [(pool_size, items) for pool_size, items in fake_pool] == (
@@ -225,8 +230,8 @@ class TestDispatch:
         assert main([*args, "--steps", "16", "--workers", str(workers)]) in (0, 1)
         ((size, chunks),) = fake_pool
         assert size == min(workers, cores)
-        assert [(run[1], start, first, stop) for run, start, first, stop in chunks] == [
-            (k, 0, 0, 10) for k in range(16)
+        assert [(run[1], first, stop) for run, first, stop in chunks] == [
+            (k, 0, 10) for k in range(16)
         ]
         assert drawn == list(range(10)) * 16
 
@@ -241,7 +246,7 @@ class TestDispatch:
         counts = montecarlo.simulate_fringe_sweep(cfg, phases, workers=5000)
         ((size, chunks),) = fake_pool
         assert size == 5
-        assert [(run[1], first, stop) for run, _, first, stop in chunks] == [
+        assert [(run[1], first, stop) for run, first, stop in chunks] == [
             (0, 0, 3), (0, 3, 6), (0, 6, 10), (1, 0, 3), (1, 3, 6), (1, 6, 10)
         ]
         assert counts == [simulate_fringe_run(cfg, p, point=k) for k, p in enumerate(phases)]
@@ -551,16 +556,22 @@ class TestHistogram:
         if slice_entries:
             monkeypatch.setattr(montecarlo, "HISTOGRAM_SLICE", slice_entries)
         cfg = lossless_config(2.0, 4 * 40 + 2)
-        signal, idler = detected_counts(cfg)
+        (chunk,) = montecarlo._chunks(cfg, 0, 1)
+        signal, idler = montecarlo._detections(chunk)
         for slots in (signal, idler):
             assert {0, 1, 2, 37, 38, 39} <= set((slots % 40).tolist())
+        whole = brute_force_histogram(
+            np.bincount(signal, minlength=cfg.num_pulses),
+            np.bincount(idler, minlength=cfg.num_pulses),
+            collapse,
+        )
+        # The fold counts click pairs; every detection pair is counted over
+        # the run's detections.
         if collapse:
-            signal, idler = np.unique(signal), np.unique(idler)
-        whole = histogram_from_counts(signal, idler)
-        (chunk,) = montecarlo._chunks(cfg, 0, 1)
-        assert montecarlo._fold(chunk, collapse) == whole
-        if collapse:
+            assert montecarlo._fold(chunk) == whole
             assert simulate_car_run(cfg) == CoincidenceHistogram(whole, cfg.num_pulses)
+        else:
+            assert histogram_from_counts(signal, idler) == whole
 
     @pytest.mark.parametrize("collapse", [True, False])
     def test_int32_slots_at_the_top_of_the_range(self, collapse):
@@ -615,9 +626,9 @@ class TestHistogram:
         # alive twice: its traced peak stays below two int32 entries per
         # detection of the largest block.
         (chunk,) = montecarlo._chunks(cfg, 0, 1)
-        run, start, _, stop = chunk
-        assert stop - start >= 2
-        largest = max(sum(map(len, montecarlo._block(run, b)[1])) for b in range(start, stop))
+        run, first, stop = chunk
+        assert stop - first >= 2
+        largest = max(sum(map(len, montecarlo._block(run, b)[1])) for b in range(first, stop))
         tracemalloc.start()
         try:
             montecarlo._fold(chunk)
@@ -681,16 +692,17 @@ def hotelling_t2(runs, expected) -> float:
 
 
 # The pooled gates of the saturated regimes: T2_RUNS runs, run k as sweep
-# point k, each run's bins folded both ways. At saturation the bins of one
-# run are neither Poisson nor independent, so each gate is Hotelling's T^2
-# over the 7 bins with the covariance of the runs. Its bound, 45.73, is
-# 7 * 49 / 43 times the upper 1e-4 point of F(7, 43), so a correct sampler
-# fails with probability 1e-4.
+# point k, its click bins folded and its raw bins counted over the run's
+# detections. At saturation the bins of one run are neither Poisson nor
+# independent, so each gate is Hotelling's T^2 over the 7 bins with the
+# covariance of the runs. Its bound, 45.73, is 7 * 49 / 43 times the upper
+# 1e-4 point of F(7, 43), so a correct sampler fails with probability 1e-4.
 T2_RUNS, T2_BOUND = 50, 45.73
 
 
 def pooled_folds(cfg, block, phases=None) -> tuple[list, list]:
-    """Click and raw delay counts of T2_RUNS runs of cfg, each one chunk of
+    """Click delay counts, folded, and raw delay counts, every detection
+    pair of the run's detections, of T2_RUNS runs of cfg, each one chunk of
     `block`-pulse blocks: a histogram run without phases, a fringe point at
     phases with them."""
     clicks, raw = [], []
@@ -698,9 +710,9 @@ def pooled_folds(cfg, block, phases=None) -> tuple[list, list]:
         short_blocks(patch, block, cfg, phases)
         for k in range(T2_RUNS):
             (chunk,) = montecarlo._chunks(cfg, k, 1, phases)
-            assert chunk[1:] == (0, 0, -(-cfg.num_pulses // block))
+            assert chunk[1:] == (0, -(-cfg.num_pulses // block))
             clicks.append(list(montecarlo._fold(chunk).values()))
-            raw.append(list(montecarlo._fold(chunk, collapse=False).values()))
+            raw.append(list(histogram_from_counts(*montecarlo._detections(chunk)).values()))
     return clicks, raw
 
 
@@ -911,8 +923,8 @@ class TestFringeRun:
         # detections of several earlier blocks in the tail, and a chunk must
         # draw all of them again to start from that tail. Summed over the
         # chunks of 1, 2 or 3 workers, folded in this process, the fold must
-        # count a shared slot as one click, or every detection in it
-        # uncollapsed, and equal the histogram of the whole run's detections.
+        # count a shared slot as one click and equal the click histogram of
+        # the whole run's detections, which the chunks' detections make up.
         cfg = pairs_only_config(8.0, 5, 10 * 20 + 3)
         phases = PhasePair(0.6, 0.0)
         short_blocks(monkeypatch, size, cfg, phases)
@@ -925,11 +937,13 @@ class TestFringeRun:
             np.sort(np.concatenate([block[channel] + b * size for b, (_, block) in enumerate(blocks)]))
             for channel in range(2)
         ]
-        for collapse in (True, False):
-            channels = [np.unique(slots) for slots in whole] if collapse else whole
-            expected = histogram_from_counts(*channels)
-            for workers in (1, 2, 3):
-                chunks = montecarlo._chunks(cfg, 0, workers, phases)
-                assert len(chunks) == workers
-                parts = [montecarlo._fold(chunk, collapse) for chunk in chunks]
-                assert {d: sum(part[d] for part in parts) for d in expected} == expected
+        expected = histogram_from_counts(*(np.unique(slots) for slots in whole))
+        for workers in (1, 2, 3):
+            chunks = montecarlo._chunks(cfg, 0, workers, phases)
+            assert len(chunks) == workers
+            parts = [montecarlo._fold(chunk) for chunk in chunks]
+            assert {d: sum(part[d] for part in parts) for d in expected} == expected
+            detections = [montecarlo._detections(chunk) for chunk in chunks]
+            for channel in range(2):
+                joined = np.concatenate([part[channel] for part in detections])
+                assert np.array_equal(joined, whole[channel])

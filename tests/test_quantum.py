@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from timebinsim import PhasePair, fringe, ideal_visibility, sector_probabilities
+from timebinsim import PhasePair, ideal_visibility, sector_probabilities
 
 
 def brute_force_sectors(
@@ -135,18 +135,20 @@ class TestSectorProbabilities:
 
 
 class TestFringe:
+    # The fringe is the matched sector, sector_probabilities(n, phases)[0].
+
     def test_frozen_two_slot_values(self):
-        assert fringe(2, PhasePair(0.0, 0.0)) == pytest.approx(
+        assert sector_probabilities(2, PhasePair(0.0, 0.0))[0] == pytest.approx(
             FRINGE_2_CONSTRUCTIVE, abs=1e-15
         )
-        assert fringe(2, PhasePair(math.pi, 0.0)) == pytest.approx(
+        assert sector_probabilities(2, PhasePair(math.pi, 0.0))[0] == pytest.approx(
             FRINGE_2_DESTRUCTIVE, abs=1e-15
         )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
     @pytest.mark.parametrize("phi_s, phi_i", [(0.0, 0.0), (0.8, 0.0), (2.0, -0.5), (3.9, 2.1)])
     def test_matches_brute_force_enumeration(self, n, phi_s, phi_i):
-        assert fringe(n, PhasePair(phi_s, phi_i)) == pytest.approx(
+        assert sector_probabilities(n, PhasePair(phi_s, phi_i))[0] == pytest.approx(
             brute_force_fringe(n, phi_s, phi_i), abs=1e-14
         )
 
@@ -154,7 +156,7 @@ class TestFringe:
     def test_closed_form_residual(self, n):
         theta = np.linspace(0.0, 2 * math.pi, 100)
         for th in theta:
-            got = fringe(n, PhasePair(th, 0.0))
+            got = sector_probabilities(n, PhasePair(th, 0.0))[0]
             assert abs(16 * n * got - 2 - 2 * (n - 1) * (1 + math.cos(th))) < 1e-12
 
     def test_depends_on_phase_sum_only(self):
@@ -162,30 +164,30 @@ class TestFringe:
         for _ in range(20):
             n = int(rng.integers(2, 40))
             a, b, shift = rng.uniform(-6, 6, size=3)
-            assert fringe(n, PhasePair(a, b)) == pytest.approx(
-                fringe(n, PhasePair(a + shift, b - shift)), abs=1e-12
+            assert sector_probabilities(n, PhasePair(a, b))[0] == pytest.approx(
+                sector_probabilities(n, PhasePair(a + shift, b - shift))[0], abs=1e-12
             )
 
     def test_periodic_in_two_pi(self):
         for n in (2, 9, 30):
             for th in (0.1, 2.5, 5.0):
                 assert abs(
-                    fringe(n, PhasePair(th, 0.0)) - fringe(n, PhasePair(th + 2 * math.pi, 0.0))
+                    sector_probabilities(n, PhasePair(th, 0.0))[0] - sector_probabilities(n, PhasePair(th + 2 * math.pi, 0.0))[0]
                 ) < 1e-12
 
     def test_post_selection_bound(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = int(rng.integers(2, 80))
-            value = fringe(n, PhasePair(*rng.uniform(-8, 8, size=2)))
+            value = sector_probabilities(n, PhasePair(*rng.uniform(-8, 8, size=2)))[0]
             assert 0.0 <= value <= 0.25
 
     def test_extremes_at_zero_and_pi(self):
         for n in (2, 6, 41):
-            top = fringe(n, PhasePair(0.0, 0.0))
-            bottom = fringe(n, PhasePair(math.pi, 0.0))
+            top = sector_probabilities(n, PhasePair(0.0, 0.0))[0]
+            bottom = sector_probabilities(n, PhasePair(math.pi, 0.0))[0]
             for th in np.linspace(0.1, 3.0, 7):
-                mid = fringe(n, PhasePair(th, 0.0))
+                mid = sector_probabilities(n, PhasePair(th, 0.0))[0]
                 assert bottom - 1e-14 <= mid <= top + 1e-14
 
 
@@ -196,8 +198,8 @@ class TestIdealVisibility:
 
     @pytest.mark.parametrize("n", [2, 5, 17, 64])
     def test_consistent_with_fringe_extremes(self, n):
-        top = fringe(n, PhasePair(0.0, 0.0))
-        bottom = fringe(n, PhasePair(math.pi, 0.0))
+        top = sector_probabilities(n, PhasePair(0.0, 0.0))[0]
+        bottom = sector_probabilities(n, PhasePair(math.pi, 0.0))[0]
         assert (top - bottom) / (top + bottom) == pytest.approx(
             ideal_visibility(n), abs=1e-12
         )
