@@ -14,8 +14,6 @@ from .analytic import (
     car_closed_form,
     estimate_gamma,
     expected_histogram,
-    mu_correlated,
-    mu_noise,
     predicted_visibility,
     pump_power_for_mu,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "car_closed_form",
     "estimate_gamma",
     "expected_histogram",
-    "mu_correlated",
-    "mu_noise",
     "predicted_visibility",
     "pump_power_for_mu",
     "FringeFit",

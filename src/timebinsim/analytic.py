@@ -36,14 +36,17 @@ class PairStatistics:
 
     @classmethod
     def from_power(cls, peak_power_w: float, source: SourceParams) -> "PairStatistics":
-        mu_c = mu_correlated(peak_power_w, source)
-        mu_n = mu_noise(peak_power_w, source)
-        return cls(
-            mu_pairs=mu_c,
-            mu_noise_signal=mu_n,
-            mu_noise_idler=mu_n,
-            mu_total=mu_c + mu_n,
-        )
+        """The means at a pump peak power; mu_pairs is inf past the float
+        range (p above ~1.3e154 W), as any float product."""
+        if peak_power_w < 0:
+            raise ValueError(f"peak power must be >= 0, got {peak_power_w}")
+        try:
+            square = peak_power_w**2
+        except OverflowError:
+            square = math.inf
+        mu_c = source.pair_coeff * square * source.bandwidth_time_product
+        mu_n = source.noise_coeff * peak_power_w * source.bandwidth_time_product
+        return cls(mu_c, mu_n, mu_n, mu_c + mu_n)
 
     @property
     def mu_channel_signal(self) -> float:
@@ -52,27 +55,6 @@ class PairStatistics:
     @property
     def mu_channel_idler(self) -> float:
         return self.mu_pairs + self.mu_noise_idler
-
-
-def mu_correlated(peak_power_w: float, source: SourceParams) -> float:
-    """Correlated-pair mean per pulse, quadratic in pump power.
-
-    inf past the float range (p above ~1.3e154 W), as any float product.
-    """
-    if peak_power_w < 0:
-        raise ValueError(f"peak power must be >= 0, got {peak_power_w}")
-    try:
-        square = peak_power_w**2
-    except OverflowError:
-        square = math.inf
-    return source.pair_coeff * square * source.bandwidth_time_product
-
-
-def mu_noise(peak_power_w: float, source: SourceParams) -> float:
-    """Uncorrelated-noise mean per pulse per channel, linear in pump power."""
-    if peak_power_w < 0:
-        raise ValueError(f"peak power must be >= 0, got {peak_power_w}")
-    return source.noise_coeff * peak_power_w * source.bandwidth_time_product
 
 
 def pump_power_for_mu(mu_total: float, source: SourceParams) -> float:
@@ -165,13 +147,19 @@ def stream_means(cfg: ExperimentConfig, phases: PhasePair | None = None) -> tupl
     slot; the signal channel's own stream, its pair photons seen in the
     signal arm only, its noise and its darks; the idler's own stream alike;
     then pairs seen one slot apart, signal first and idler first. A fringe
-    point at phases splits the pairs by sector_probabilities; without phases
-    (no interferometers) every pair is matched. Noise photons see an
-    interferometer as a phase-insensitive 1/2 loss. Darks have mean
-    -log(1 - d), so a slot holds one with probability exactly d.
+    point at phases, given if and only if cfg.interferometers_present, splits
+    the pairs by sector_probabilities; without phases every pair is matched.
+    Noise photons see an interferometer as a phase-insensitive 1/2 loss.
+    Darks have mean -log(1 - d), so a slot holds one with probability exactly d.
     """
-    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
     inside = phases is not None
+    if cfg.interferometers_present != inside:
+        raise ValueError(
+            "fringe runs require interferometers_present = True"
+            if inside
+            else "histogram runs model the setup without interferometers"
+        )
+    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
     a_s, a_i, d_s, d_i = arm_detection(cfg, include_interferometer=inside)
     matched, s_first, i_first, s_only, i_only = (
         sector_probabilities(cfg.coherence_slots, phases) if inside else (1.0, 0.0, 0.0, 0.0, 0.0)

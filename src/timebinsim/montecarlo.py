@@ -160,12 +160,6 @@ def _chunks(
     least two blocks and expects at least EVENTS_PER_BLOCK draws.
     """
     require_valid(cfg)
-    if cfg.interferometers_present != (phases is not None):
-        raise ValueError(
-            "fringe runs require interferometers_present = True"
-            if phases is not None
-            else "histogram runs model the setup without interferometers"
-        )
     size = block_pulses(cfg, phases)
     means = stream_means(cfg, phases)
     if not sum(means) * size <= MAX_BLOCK_DRAWS:

@@ -14,8 +14,6 @@ from timebinsim import (
     default_config,
     estimate_gamma,
     expected_histogram,
-    mu_correlated,
-    mu_noise,
     predicted_visibility,
     pump_power_for_mu,
 )
@@ -55,12 +53,11 @@ class TestPairStatistics:
     @pytest.mark.parametrize("power", [1e-4, 1e-3, 0.02, 0.3])
     def test_quadratic_and_linear_power_scaling(self, baseline, power):
         src = baseline.source
-        assert mu_correlated(2 * power, src) == pytest.approx(
-            4 * mu_correlated(power, src), rel=1e-14
-        )
-        assert mu_noise(2 * power, src) == pytest.approx(
-            2 * mu_noise(power, src), rel=1e-14
-        )
+        single = PairStatistics.from_power(power, src)
+        double = PairStatistics.from_power(2 * power, src)
+        assert double.mu_pairs == pytest.approx(4 * single.mu_pairs, rel=1e-14)
+        assert double.mu_noise_signal == pytest.approx(2 * single.mu_noise_signal, rel=1e-14)
+        assert double.mu_noise_idler == pytest.approx(2 * single.mu_noise_idler, rel=1e-14)
 
     def test_zero_power(self, baseline):
         st = PairStatistics.from_power(0.0, baseline.source)
@@ -71,14 +68,13 @@ class TestPairStatistics:
     def test_pair_mean_overflows_to_inf(self, baseline):
         # p^2 leaves the float range near 1.3e154 W; the mean is inf, as
         # any overflowing float product, not an OverflowError.
-        assert mu_correlated(1e200, baseline.source) == math.inf
-        assert PairStatistics.from_power(1e200, baseline.source).mu_total == math.inf
+        st = PairStatistics.from_power(1e200, baseline.source)
+        assert st.mu_pairs == math.inf
+        assert st.mu_total == math.inf
 
     def test_negative_power_rejected(self, baseline):
-        with pytest.raises(ValueError, match="peak power"):
-            mu_correlated(-1e-3, baseline.source)
-        with pytest.raises(ValueError, match="peak power"):
-            mu_noise(-1e-3, baseline.source)
+        with pytest.raises(ValueError, match="peak power must be >= 0"):
+            PairStatistics.from_power(-1e-3, baseline.source)
 
 
 class TestPumpInversion:
@@ -270,6 +266,21 @@ class TestExpectedHistogram:
             with pytest.raises(ValueError, match="peak_power_w must keep the channel mean finite") as exc:
                 expected_histogram(beyond, phases)
             assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "interferometers, phases, message",
+        [
+            (True, None, "histogram runs model the setup without interferometers"),
+            (False, PhasePair(0.3, 0.2), "fringe runs require interferometers_present = True"),
+        ],
+    )
+    def test_phases_need_the_interferometers(self, baseline, interferometers, phases, message):
+        # The sampler's rule: a fringe point needs the interferometers, and
+        # the histogram without phases models the setup without them.
+        cfg = replace(baseline, interferometers_present=interferometers)
+        with pytest.raises(ValueError) as exc:
+            expected_histogram(cfg, phases)
+        assert str(exc.value) == message
 
 
 class TestEstimateGamma:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import lossless_config, num_blocks, pairs_only_config
-from timebinsim import PhasePair, __version__, config_to_dict, default_config
+from timebinsim import PhasePair, __version__, config_to_dict, default_config, expected_histogram
 from timebinsim.cli import BLAS_THREAD_VARIABLES, _linspace, main
 
 # Closed-form anchors at the baseline operating point, symmetrized
@@ -551,16 +551,40 @@ class TestFit:
 
 # Runs each argv list through cli.main in a fresh interpreter, with numpy
 # made unimportable unless the first argument is "numpy", and prints the
-# exit codes and which modules the package loaded.
+# exit codes, which modules the package loaded, and the baseline's expected
+# histogram without interferometers and with them at phases (0.3, 0.2).
 STDLIB_RUNNER = """
 import json, sys
 block, runs = sys.argv[1] != "numpy", json.loads(sys.argv[2])
 if block:
     sys.modules["numpy"] = None
 import timebinsim.cli
-loaded = {name: sys.modules.get(name) is not None for name in ("numpy", "timebinsim.montecarlo")}
-print(json.dumps({"codes": [timebinsim.cli.main(argv) for argv in runs], "loaded": loaded}))
+modules = ("analytic", "fitting", "montecarlo", "params", "quantum")
+names = ["numpy", *(f"timebinsim.{m}" for m in modules)]
+loaded = {name: sys.modules.get(name) is not None for name in names}
+from dataclasses import replace
+from timebinsim import PhasePair, default_config, expected_histogram
+cfg = default_config()
+histograms = [
+    expected_histogram(cfg),
+    expected_histogram(replace(cfg, interferometers_present=True), PhasePair(0.3, 0.2)),
+]
+codes = [timebinsim.cli.main(argv) for argv in runs]
+print(json.dumps({"codes": codes, "loaded": loaded, "histograms": histograms}))
 """
+
+# `import timebinsim.cli` loads every submodule and no numpy. The tracer,
+# perfbench/traced.py, wraps only the modules that import loads, and its
+# --workers probe reads sys.modules["timebinsim.montecarlo"]: a submodule
+# imported lazily would run untraced.
+CLI_IMPORT_LOADS = {
+    "numpy": False,
+    "timebinsim.analytic": True,
+    "timebinsim.fitting": True,
+    "timebinsim.montecarlo": True,
+    "timebinsim.params": True,
+    "timebinsim.quantum": True,
+}
 
 
 def run_fresh(block_numpy: bool, runs: list[list[str]]) -> dict:
@@ -581,8 +605,7 @@ class TestWithoutNumpy:
     """Commands that sample nothing load no numpy and run without it."""
 
     def test_cli_import_loads_no_numpy(self):
-        loaded = run_fresh(False, [])["loaded"]
-        assert loaded == {"numpy": False, "timebinsim.montecarlo": True}
+        assert run_fresh(False, [])["loaded"] == CLI_IMPORT_LOADS
 
     @pytest.mark.parametrize(
         "start, stop, steps",
@@ -621,7 +644,14 @@ class TestWithoutNumpy:
         runs = [[*argv, "--out-dir", str(tmp_path / "blocked" / name)] for name, argv in commands.items()]
         result = run_fresh(True, runs)
         assert result["codes"] == [0] * len(commands)
-        assert result["loaded"] == {"numpy": False, "timebinsim.montecarlo": True}
+        assert result["loaded"] == CLI_IMPORT_LOADS
+        # The expected histogram, without and with the interferometers.
+        cfg = default_config()
+        histograms = [
+            expected_histogram(cfg),
+            expected_histogram(replace(cfg, interferometers_present=True), PhasePair(0.3, 0.2)),
+        ]
+        assert [{int(d): p for d, p in h.items()} for h in result["histograms"]] == histograms
         for name, argv in commands.items():
             assert main([*argv, "--out-dir", str(tmp_path / "normal" / name)]) == 0
             blocked, normal = tmp_path / "blocked" / name, tmp_path / "normal" / name

@@ -54,11 +54,6 @@ def brute_force_sectors(
     )
 
 
-def brute_force_fringe(n: int, phi_s: float, phi_i: float) -> float:
-    """Matched-coincidence probability by direct ket enumeration."""
-    return brute_force_sectors(n, phi_s, phi_i)[0]
-
-
 def all_five_outcomes(n: int, phases: PhasePair) -> float:
     """Sum of both kept, signal only, idler only and neither kept.
 
@@ -70,7 +65,7 @@ def all_five_outcomes(n: int, phases: PhasePair) -> float:
     return sum(sector_probabilities(n, phases)) + sum(sector_probabilities(n, flipped)[:3])
 
 
-# Frozen from the oracle: brute_force_fringe(2, 0, 0) and (2, pi, 0),
+# Frozen from the oracle: brute_force_sectors(2, 0, 0)[0] and (2, pi, 0)[0],
 # i.e. (1 + 4 + 1)/32 and (1 + 0 + 1)/32.
 FRINGE_2_CONSTRUCTIVE = 0.1875
 FRINGE_2_DESTRUCTIVE = 0.0625
@@ -148,9 +143,11 @@ class TestFringe:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
     @pytest.mark.parametrize("phi_s, phi_i", [(0.0, 0.0), (0.8, 0.0), (2.0, -0.5), (3.9, 2.1)])
     def test_matches_brute_force_enumeration(self, n, phi_s, phi_i):
-        assert sector_probabilities(n, PhasePair(phi_s, phi_i))[0] == pytest.approx(
-            brute_force_fringe(n, phi_s, phi_i), abs=1e-14
-        )
+        # The fringe law, 16 n P = 2 + 2 (n - 1) (1 + cos(phi_s + phi_i)),
+        # against the oracle itself: TestSectorProbabilities already holds
+        # sector_probabilities to the oracle, sector by sector.
+        law = (2 + 2 * (n - 1) * (1 + math.cos(phi_s + phi_i))) / (16 * n)
+        assert brute_force_sectors(n, phi_s, phi_i)[0] == pytest.approx(law, abs=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 34, 55, 64])
     def test_closed_form_residual(self, n):
