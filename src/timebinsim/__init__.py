@@ -1,21 +1,23 @@
 """Simulator and analysis toolkit for time-bin entangled photon-pair sources.
 
-The package splits along the physics: closed-form two-photon sector
-probabilities, derived from the amplitudes and checked against a ket
-enumeration (`quantum`), closed-form counting statistics (`analytic`), a seeded
-event-stream Monte Carlo (`montecarlo`), estimators (`fitting`), experiment
-description (`params`), and a CLI (`cli`).
+The package splits along the physics into five modules: closed forms, the
+two-photon sector probabilities and the counting statistics (`analytic`), a
+seeded event-stream Monte Carlo (`montecarlo`), estimators (`fitting`),
+experiment description (`params`), and a CLI (`cli`).
 """
 
 __version__ = "0.9.0"
 
 from .analytic import (
     PairStatistics,
+    PhasePair,
     car_closed_form,
     estimate_gamma,
     expected_histogram,
+    ideal_visibility,
     predicted_visibility,
     pump_power_for_mu,
+    sector_probabilities,
 )
 from .fitting import (
     FringeFit,
@@ -45,11 +47,6 @@ from .params import (
     default_config,
     effective_alpha,
     validate_config,
-)
-from .quantum import (
-    PhasePair,
-    ideal_visibility,
-    sector_probabilities,
 )
 
 __all__ = [

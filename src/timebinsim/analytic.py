@@ -1,5 +1,5 @@
-"""Closed-form pair statistics: means, the expected delay histogram,
-coincidence-to-accidental ratio, visibility prediction.
+"""Closed forms: two-photon sector probabilities, pair means, the expected
+delay histogram, coincidence-to-accidental ratio, visibility prediction.
 
 The source model: per pulse and per unit bandwidth-time product, the
 correlated-pair mean grows quadratically with pump peak power while the
@@ -8,9 +8,10 @@ single-channel noise mean grows linearly,
     mu_pairs = pair_coeff * p^2 * F        F = bandwidth * pulse width
     mu_noise = noise_coeff * p * F
 
-Every function here is algebra on those two means; nothing is sampled.
-stream_means is the channel model, the five per-slot Poisson means that
-montecarlo draws and expected_histogram evaluates in closed form.
+sector_probabilities splits the pairs behind the interferometers; the rest is
+algebra on those two means and the sectors. Nothing is sampled. stream_means
+is the channel model, the five per-slot Poisson means that montecarlo draws
+and expected_histogram evaluates in closed form.
 """
 
 from __future__ import annotations
@@ -19,10 +20,85 @@ import math
 from dataclasses import dataclass
 
 from .params import ExperimentConfig, SourceParams, arm_detection, require_valid
-from .quantum import PhasePair, ideal_visibility, sector_probabilities
 
 # Accidental window: delays -3..+3 around the true-coincidence bin.
 COINCIDENCE_WINDOW = 3
+
+
+@dataclass(frozen=True)
+class PhasePair:
+    """Interferometer phases for the two arms. Raw values, any real number."""
+
+    signal: float
+    idler: float
+
+
+def _matched(n_slots: int, phases: PhasePair, sign: int) -> float:
+    """Norm of the slot diagonal: sign +1 with both photons in their
+    monitored ports, -1 with one of them discarded. Needs at least two slots
+    to carry any entanglement."""
+    if n_slots < 2:
+        raise ValueError(f"n_slots must be >= 2, got {n_slots}")
+    inner = 1 + sign * math.cos(phases.signal + phases.idler)
+    return (2 + 2 * (n_slots - 1) * inner) / (16 * n_slots)
+
+
+def sector_probabilities(
+    n_slots: int, phases: PhasePair
+) -> tuple[float, float, float, float, float]:
+    """Joint pair-outcome probabilities after both interferometers.
+
+    Returns (matched, signal first, idler first, signal kept only, idler
+    kept only); the neither-kept remainder completes the distribution. With
+    both photons kept they share a slot (matched) or sit one slot apart,
+    the signal or the idler photon first.
+
+    A pump train coherent over n pulses prepares the pair state
+    sum_k |k>_s |k>_i / sqrt(n), k = 1..n: both photons always share a
+    slot, with a uniform envelope. A delay-line interferometer with one-slot
+    path difference maps each single-photon ket
+
+        |k>  ->  t0 |k> + t1 |k+1>
+
+    with taps (t0, t1) = (1/2, e^{i phi}/2) in the monitored output port and
+    (1/2, -e^{i phi}/2) in the discarded one. The map is applied per mode.
+    The photon routed to the discarded port is tracked as its own outcome
+    rather than renormalized away (50% post-selection per photon).
+
+    After one map per mode the amplitude of signal slot j, idler slot k is
+    non-zero only for |j - k| <= 1, and the sector norms follow by hand:
+
+    * Matched (j = k), with s = +1 for the two monitored ports and s = -1
+      when exactly one photon is discarded (its delayed tap changes sign).
+      The two edge slots have one path each, of weight 1/(16n). Each of the
+      n-1 inner slots has two paths, both photons early or both late, which
+      interfere: |1 + s e^{i(phi_s + phi_i)}|^2 / (16n). Summed,
+
+          matched(s) = [2 + 2(n-1)(1 + s cos(phi_s + phi_i))] / (16n).
+
+    * One slot apart, signal first or idler first: n slot pairs, each of one
+      path with amplitude (1/4)/sqrt(n), so 1/16 at any phase.
+
+    So with both photons kept the sectors are matched(+1), 1/16 and 1/16. A
+    port pair with one photon discarded holds matched(-1) + 1/8, and with
+    both discarded matched(+1) + 1/8. Since matched(+1) + matched(-1) = 1/4,
+    the six outcomes sum to 1 and each photon is kept with probability 1/2.
+    The tests check every sector against a brute-force enumeration of the
+    kets.
+    """
+    one_kept = _matched(n_slots, phases, -1) + 1 / 8
+    return (_matched(n_slots, phases, 1), 1 / 16, 1 / 16, one_kept, one_kept)
+
+
+def ideal_visibility(n_slots: int) -> float:
+    """Fringe visibility of the lossless, noise-free n-slot state.
+
+    The two edge slots of the coherence window never interfere (each is fed
+    by a single path), which caps the visibility at (n-1)/n.
+    """
+    if n_slots < 2:
+        raise ValueError(f"n_slots must be >= 2, got {n_slots}")
+    return (n_slots - 1) / n_slots
 
 
 @dataclass(frozen=True)
@@ -47,14 +123,6 @@ class PairStatistics:
         mu_c = source.pair_coeff * square * source.bandwidth_time_product
         mu_n = source.noise_coeff * peak_power_w * source.bandwidth_time_product
         return cls(mu_c, mu_n, mu_n, mu_c + mu_n)
-
-    @property
-    def mu_channel_signal(self) -> float:
-        return self.mu_pairs + self.mu_noise_signal
-
-    @property
-    def mu_channel_idler(self) -> float:
-        return self.mu_pairs + self.mu_noise_idler
 
 
 def pump_power_for_mu(mu_total: float, source: SourceParams) -> float:
@@ -122,7 +190,7 @@ def predicted_visibility(
 
         V = (n-1)/n * C / (C + 2 A)
 
-    where (n-1)/n is the edge-slot cap of quantum.ideal_visibility.
+    where (n-1)/n is the edge-slot cap of ideal_visibility.
 
     The alphas here exclude the 1/2 post-selection (it is explicit in the
     formula) but include any interferometer excess loss. This is the
@@ -130,8 +198,8 @@ def predicted_visibility(
     """
     edge_cap = ideal_visibility(n_slots)
     c = stats.mu_pairs * alpha_signal * alpha_idler / 4.0
-    a_acc = (stats.mu_channel_signal * alpha_signal / 2.0 + dark_signal) * (
-        stats.mu_channel_idler * alpha_idler / 2.0 + dark_idler
+    a_acc = ((stats.mu_pairs + stats.mu_noise_signal) * alpha_signal / 2.0 + dark_signal) * (
+        (stats.mu_pairs + stats.mu_noise_idler) * alpha_idler / 2.0 + dark_idler
     )
     if c + 2.0 * a_acc <= 0.0:
         raise ValueError("no coincidences at all: visibility undefined")

@@ -31,6 +31,7 @@ from pathlib import Path
 from . import __version__
 from .analytic import (
     PairStatistics,
+    PhasePair,
     car_closed_form,
     predicted_visibility,
     pump_power_for_mu,
@@ -51,7 +52,6 @@ from .params import (
     require_valid,
     symmetrized_detection,
 )
-from .quantum import PhasePair
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -63,7 +63,7 @@ def load_config(path: str | None) -> ExperimentConfig:
     """Config from a JSON file, or the built-in baseline when omitted."""
     if path is None:
         return default_config()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
@@ -255,7 +255,7 @@ def cmd_mc_fringe(ns) -> int:
 
 def _read_csv_columns(path: str, required: list[str]) -> dict[str, list[float]]:
     """The required columns as float lists; every cell must be finite."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         missing = [c for c in required if c not in fields]

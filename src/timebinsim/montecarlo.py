@@ -2,7 +2,7 @@
 
 One sampler serves both run types. It draws the channel model of
 analytic.stream_means, the one expected_histogram evaluates: pairs split
-into the sectors of quantum.sector_probabilities and thinned by the channel
+into the sectors of analytic.sector_probabilities and thinned by the channel
 alphas, with noise photons and dark counts joining each channel. Each run
 is a delay histogram of click pairs:
 
@@ -74,9 +74,14 @@ import os
 from dataclasses import dataclass, replace
 from math import sqrt
 
-from .analytic import COINCIDENCE_WINDOW, expected_histogram, pump_power_for_mu, stream_means
+from .analytic import (
+    COINCIDENCE_WINDOW,
+    PhasePair,
+    expected_histogram,
+    pump_power_for_mu,
+    stream_means,
+)
 from .params import ExperimentConfig, require_valid
-from .quantum import PhasePair
 
 # Expected draws per block, the unit of seeding and of the fold, at any
 # density. The fold measured ~70 ns a draw at the default losses and

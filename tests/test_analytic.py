@@ -45,11 +45,6 @@ class TestPairStatistics:
         assert st.mu_noise_idler == st.mu_noise_signal
         assert st.mu_total == pytest.approx(st.mu_pairs + st.mu_noise_signal, rel=1e-15)
 
-    def test_channel_means_include_pairs(self, baseline):
-        st = PairStatistics.from_power(2e-3, baseline.source)
-        assert st.mu_channel_signal == st.mu_pairs + st.mu_noise_signal
-        assert st.mu_channel_idler == st.mu_pairs + st.mu_noise_idler
-
     @pytest.mark.parametrize("power", [1e-4, 1e-3, 0.02, 0.3])
     def test_quadratic_and_linear_power_scaling(self, baseline, power):
         src = baseline.source

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import lossless_config, num_blocks, pairs_only_config
 from timebinsim import PhasePair, __version__, config_to_dict, default_config, expected_histogram
-from timebinsim.cli import BLAS_THREAD_VARIABLES, _linspace, main
+from timebinsim.cli import BLAS_THREAD_VARIABLES, _linspace, config_hash, main
 
 # Closed-form anchors at the baseline operating point, symmetrized
 # detection; frozen from direct evaluation of the formulas.
@@ -124,6 +124,23 @@ class TestAnalytic:
         assert float(rows[1]["mu_noise"]) == pytest.approx(
             2 * float(rows[0]["mu_noise"]), rel=1e-9
         )
+
+    def test_config_with_byte_order_mark_reads_as_plain(self, tmp_path):
+        # Spreadsheet and lab tools often write UTF-8 with a leading BOM.
+        cfg = replace(default_config(), seed=4_242)
+        plain = write_config(tmp_path, cfg)
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + json.dumps(config_to_dict(cfg)).encode())
+        written = []
+        for path in (plain, str(bom)):
+            out = tmp_path / f"out{len(written)}"
+            assert main([
+                "analytic", "--config", path, "--out-dir", str(out),
+                "--sweep", "mu", "--start", "1e-4", "--stop", "1e-2", "--steps", "5",
+            ]) == 0
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert written[0] == written[1]
+        assert json.loads(written[1]["manifest.json"])["config_hash"] == config_hash(cfg)
 
     def test_bad_sweep_ranges(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -442,6 +459,25 @@ class TestFit:
             0.0, abs=1e-9
         )
 
+    def test_fringe_csv_with_byte_order_mark_and_crlf_reads_as_plain(self, tmp_path):
+        # A spreadsheet's "CSV UTF-8" export: a leading BOM and CRLF rows.
+        phases = 2 * math.pi * np.arange(16) / 16
+        counts = 150.0 * (1 + 0.74 * np.cos(phases + 0.3))
+        points = zip(phases.tolist(), counts.tolist())
+        rows = ["phi_s,coincidences", *(f"{p!r},{c!r}" for p, c in points)]
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes("".join(f"{row}\n" for row in rows).encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + "".join(f"{row}\r\n" for row in rows).encode())
+        fits = []
+        for data in (plain, bom):
+            out = tmp_path / data.stem
+            assert main([
+                "fit", "--model", "fringe", "--data", str(data), "--out-dir", str(out),
+            ]) == 0
+            fits.append((out / "fit.json").read_bytes())
+        assert fits[0] == fits[1]
+        assert json.loads(fits[1])["visibility"] == pytest.approx(0.74, abs=1e-9)
+
     def test_scaling_round_trip(self, tmp_path):
         powers = np.linspace(0.05, 0.2, 16)
         data = tmp_path / "scaling.csv"
@@ -559,7 +595,7 @@ block, runs = sys.argv[1] != "numpy", json.loads(sys.argv[2])
 if block:
     sys.modules["numpy"] = None
 import timebinsim.cli
-modules = ("analytic", "fitting", "montecarlo", "params", "quantum")
+modules = ("analytic", "fitting", "montecarlo", "params")
 names = ["numpy", *(f"timebinsim.{m}" for m in modules)]
 loaded = {name: sys.modules.get(name) is not None for name in names}
 from dataclasses import replace
@@ -583,7 +619,6 @@ CLI_IMPORT_LOADS = {
     "timebinsim.fitting": True,
     "timebinsim.montecarlo": True,
     "timebinsim.params": True,
-    "timebinsim.quantum": True,
 }
 
 

@@ -842,8 +842,8 @@ class TestFringeRun:
         # Pure pairs with unit alpha: a delay-0 coincidence is a matched-slot
         # outcome or two pairs whose photons share a slot, so the mean count
         # is pulses * P_0 with the sector probabilities straight from
-        # quantum. At phi = pi it is 4.49, not pulses * mu *
-        # p_matched = 0.5.
+        # analytic.sector_probabilities. At phi = pi it is 4.49, not
+        # pulses * mu * p_matched = 0.5.
         n_slots, mu, pulses = 1000, 4e-3, 1_000_000
         for phi in (0.0, 0.5 * math.pi, math.pi):
             cfg = pairs_only_config(mu, n_slots, pulses, seed=50_000 + int(10 * phi))

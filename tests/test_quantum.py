@@ -1,11 +1,12 @@
 """Closed-form sector probabilities against a brute-force enumeration oracle.
 
-`quantum` gives each pair outcome in closed form: the matched sector
-[2 + 2(n-1)(1 + s cos(phi_s + phi_i))] / (16 n), with s = -1 when one
-photon is discarded, 1/16 for each one-slot-apart sector, and 1/8 more for
-each port pair with a photon discarded. The oracle below expands every
-product ket by hand with plain Python complex arithmetic and never touches
-those formulas, so the two implementations share nothing but the physics.
+`analytic.sector_probabilities` gives each pair outcome in closed form: the
+matched sector [2 + 2(n-1)(1 + s cos(phi_s + phi_i))] / (16 n), with s = -1
+when one photon is discarded, 1/16 for each one-slot-apart sector, and 1/8
+more for each port pair with a photon discarded. The oracle below expands
+every product ket by hand with plain Python complex arithmetic and never
+touches those formulas, so the two implementations share nothing but the
+physics.
 """
 
 import cmath
