@@ -17,7 +17,7 @@ and expected_histogram evaluates in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .params import ExperimentConfig, SourceParams, arm_detection, require_valid
 
@@ -144,6 +144,24 @@ def pump_power_for_mu(mu_total: float, source: SourceParams) -> float:
     u = b / (2.0 * a)
     v = mu_total / (a * f)
     return v / (u + math.sqrt(u * u + v))
+
+
+def sweep_config(
+    cfg: ExperimentConfig, sweep: str, value: float
+) -> tuple[ExperimentConfig, float]:
+    """The config at one sweep point, and its channel mean: "mu" re-solves the pump power
+    for the mean value, "power" sets the power to value, "dfdt" sets the bandwidth-time
+    product to value and re-solves the power to hold cfg's own mean. Nothing else changes."""
+    source, mu = cfg.source, value
+    if sweep == "dfdt":
+        mu = PairStatistics.from_power(source.peak_power_w, source).mu_total
+        source = replace(source, bandwidth_ghz=value / source.pulse_width_ns)
+    if sweep == "power":
+        source = replace(source, peak_power_w=value)
+        mu = PairStatistics.from_power(value, source).mu_total
+    else:
+        source = replace(source, peak_power_w=pump_power_for_mu(mu, source))
+    return replace(cfg, source=source), mu
 
 
 def car_closed_form(mu_total: float, source: SourceParams, alpha: float, dark: float) -> float:

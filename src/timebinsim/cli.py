@@ -34,7 +34,7 @@ from .analytic import (
     PhasePair,
     car_closed_form,
     predicted_visibility,
-    pump_power_for_mu,
+    sweep_config,
 )
 from .fitting import fit_fringe, fit_scaling
 from .montecarlo import (
@@ -171,25 +171,15 @@ def cmd_analytic(ns) -> int:
         raise ValueError("sweep range must be positive")
     values = _linspace(ns.start, ns.stop, ns.steps)
 
-    src = cfg.source
-    operating_mu = PairStatistics.from_power(src.peak_power_w, src).mu_total
     alpha_sym, dark_mean = symmetrized_detection(cfg)
     detection = arm_detection(cfg, include_interferometer=True)
 
     header = [ns.sweep, "mu_pairs", "mu_noise", "car", "predicted_visibility"]
     rows = []
     for value in values:
-        source = src
-        if ns.sweep == "power":
-            stats = PairStatistics.from_power(value, source)
-            mu = stats.mu_total
-        else:  # solve the pump power for the row's mu
-            mu = value
-            if ns.sweep == "dfdt":  # hold the operating mu
-                mu = operating_mu
-                source = replace(src, bandwidth_ghz=value / src.pulse_width_ns)
-            stats = PairStatistics.from_power(pump_power_for_mu(mu, source), source)
-        car = car_closed_form(mu, source, alpha_sym, dark_mean)
+        point, mu = sweep_config(cfg, ns.sweep, value)
+        stats = PairStatistics.from_power(point.source.peak_power_w, point.source)
+        car = car_closed_form(mu, point.source, alpha_sym, dark_mean)
         vis = predicted_visibility(stats, *detection, cfg.coherence_slots)
         mu_noise = 0.5 * (stats.mu_noise_signal + stats.mu_noise_idler)
         row = [value, stats.mu_pairs, mu_noise, car, vis]

@@ -78,8 +78,8 @@ from .analytic import (
     COINCIDENCE_WINDOW,
     PhasePair,
     expected_histogram,
-    pump_power_for_mu,
     stream_means,
+    sweep_config,
 )
 from .params import ExperimentConfig, require_valid
 
@@ -395,21 +395,15 @@ def car_curve(
 ) -> list[CarCurveRow]:
     """Analytic and simulated coincidence ratio across channel-mean values.
 
-    Each row re-solves the pump power for its mu, takes the exact ratio of
-    expected_histogram, P(0) over the mean of the six accidental bins, and
-    runs the histogram simulation at that power as sweep point i, so rows
-    draw independent yet reproducible streams. Every row's run is folded
-    on one pool.
+    Each row is sweep_config's "mu" point without interferometers. It takes
+    the exact ratio of expected_histogram, P(0) over the mean of the six
+    accidental bins, and runs the histogram simulation there as sweep point
+    i, so rows draw independent yet reproducible streams. Every row's run
+    is folded on one pool.
     """
     mu_values = list(mu_values)
-    cfg_rows = [
-        replace(
-            cfg,
-            source=replace(cfg.source, peak_power_w=pump_power_for_mu(mu, cfg.source)),
-            interferometers_present=False,
-        )
-        for mu in mu_values
-    ]
+    base = replace(cfg, interferometers_present=False)
+    cfg_rows = [sweep_config(base, "mu", mu)[0] for mu in mu_values]
     sampled = _sweep_counts([(cfg_row, i, None) for i, cfg_row in enumerate(cfg_rows)], workers)
     rows = []
     for mu, cfg_row, counts in zip(mu_values, cfg_rows, sampled):

@@ -197,10 +197,12 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
                 f"{name}.interferometer_loss_db must be >= 0, got {ch.interferometer_loss_db}"
             )
 
-    if cfg.coherence_slots < 2:
-        bad.append(f"coherence_slots must be >= 2, got {cfg.coherence_slots}")
-    if cfg.num_pulses < 1:
-        bad.append(f"num_pulses must be >= 1, got {cfg.num_pulses}")
+    # Counts fit numpy's int64, in which the sampler holds run slots; a larger
+    # one can also leave the float range of the closed forms.
+    if not 2 <= cfg.coherence_slots < 2**63:
+        bad.append(f"coherence_slots must be in [2, 2**63), got {cfg.coherence_slots}")
+    if not 1 <= cfg.num_pulses < 2**63:
+        bad.append(f"num_pulses must be in [1, 2**63), got {cfg.num_pulses}")
     # A seed is one uint32 word of the stream key; a larger one collides.
     if not 0 <= cfg.seed < 2**32:
         bad.append(f"seed must be in [0, 2**32), got {cfg.seed}")

@@ -17,6 +17,7 @@ from timebinsim import (
     predicted_visibility,
     pump_power_for_mu,
 )
+from timebinsim.analytic import sweep_config
 from timebinsim.params import SourceParams, arm_detection
 
 # Baseline operating point, evaluated by hand:
@@ -100,6 +101,48 @@ class TestPumpInversion:
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError, match="mu_total"):
             pump_power_for_mu(-1e-4, source_with_f(0.75))
+
+
+class TestSweepConfig:
+    """The one rule for a sweep point, read by the analytic command and car_curve."""
+
+    @pytest.fixture(params=[False, True], ids=["plain", "interferometers"])
+    def cfg(self, baseline, request):
+        return replace(baseline, interferometers_present=request.param, seed=7, num_pulses=123)
+
+    @staticmethod
+    def restored(point, cfg, *names):
+        """point with the named source fields set back to cfg's."""
+        back = {name: getattr(cfg.source, name) for name in names}
+        return replace(point, source=replace(point.source, **back))
+
+    @pytest.mark.parametrize("mu", [1e-6, 4e-3, 0.3])
+    def test_mu_re_solves_the_pump_power(self, cfg, mu):
+        point, mu_point = sweep_config(cfg, "mu", mu)
+        assert mu_point == mu
+        src = point.source
+        assert PairStatistics.from_power(src.peak_power_w, src).mu_total == pytest.approx(
+            mu, rel=1e-12
+        )
+        assert self.restored(point, cfg, "peak_power_w") == cfg
+
+    def test_power_sets_the_pump_power(self, cfg):
+        point, mu = sweep_config(cfg, "power", 2e-2)
+        assert point.source.peak_power_w == 2e-2
+        assert mu == PairStatistics.from_power(2e-2, cfg.source).mu_total
+        assert self.restored(point, cfg, "peak_power_w") == cfg
+
+    @pytest.mark.parametrize("dfdt", [0.25, 2.5])
+    def test_dfdt_holds_the_channel_mean(self, cfg, dfdt):
+        operating = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_total
+        point, mu = sweep_config(cfg, "dfdt", dfdt)
+        src = point.source
+        assert src.bandwidth_time_product == pytest.approx(dfdt, rel=1e-12)
+        assert mu == operating
+        assert PairStatistics.from_power(src.peak_power_w, src).mu_total == pytest.approx(
+            operating, rel=1e-12
+        )
+        assert self.restored(point, cfg, "peak_power_w", "bandwidth_ghz") == cfg
 
 
 class TestCarRoutes:
@@ -261,6 +304,15 @@ class TestExpectedHistogram:
             with pytest.raises(ValueError, match="peak_power_w must keep the channel mean finite") as exc:
                 expected_histogram(beyond, phases)
             assert "\n" not in str(exc.value)
+
+    def test_coherence_window_without_a_float_refused(self, baseline):
+        # 10**400 slots have no float: the config is refused in one line
+        # before the sector norms convert the count.
+        cfg = replace(baseline, coherence_slots=10**400, interferometers_present=True)
+        with pytest.raises(ValueError) as exc:
+            expected_histogram(cfg, PhasePair(0.0, 0.0))
+        expected = f"invalid config: coherence_slots must be in [2, 2**63), got {10**400}"
+        assert str(exc.value) == expected
 
     @pytest.mark.parametrize(
         "interferometers, phases, message",

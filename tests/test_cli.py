@@ -240,6 +240,29 @@ class TestMcCar:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, field, flag",
+        [
+            ("mc-car", "num_pulses", "--pulses"),
+            ("mc-fringe", "num_pulses", "--pulses"),
+            ("mc-fringe", "coherence_slots", None),
+        ],
+    )
+    def test_count_without_a_float_is_one_error_line(
+        self, tmp_path, capsys, command, field, flag
+    ):
+        # 10**400 has no float: the count is refused before a run converts it.
+        huge = 10**400
+        cfg = default_config() if flag else replace(default_config(), **{field: huge})
+        out = tmp_path / "never"
+        argv = [command, "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]
+        assert main(argv + ([flag, str(huge)] if flag else [])) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: invalid config: {field} must be in [")
+        assert err[0].endswith(f", 2**63), got {huge}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, extra",
         [
             ("mc-car", []),

@@ -132,6 +132,14 @@ class TestValidation:
         assert len(bad) == 1
         assert bad[0].startswith("seed must be in [0, 2**32)")
 
+    @pytest.mark.parametrize("field, low", [("coherence_slots", 2), ("num_pulses", 1)])
+    def test_counts_fit_int64(self, baseline, field, low):
+        # The sampler holds run slots as numpy int64. Validation only: no
+        # run starts at these sizes.
+        assert validate_config(replace(baseline, **{field: 2**63 - 1})) == []
+        bad = validate_config(replace(baseline, **{field: 2**63}))
+        assert bad == [f"{field} must be in [{low}, 2**63), got {2**63}"]
+
     def test_dark_rate_below_one_per_slot(self, baseline):
         # Darks are drawn as a per-slot probability: at or above the pulse
         # rate (1 GHz here) there is none to draw.
