@@ -6,7 +6,7 @@ seeded event-stream Monte Carlo (`montecarlo`), estimators (`fitting`),
 experiment description (`params`), and a CLI (`cli`).
 """
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"
 
 from .analytic import (
     PairStatistics,

@@ -24,6 +24,9 @@ from .params import ExperimentConfig, SourceParams, arm_detection, require_valid
 # Accidental window: delays -3..+3 around the true-coincidence bin.
 COINCIDENCE_WINDOW = 3
 
+# The quantities sweep_config can sweep.
+SWEEPS = ("mu", "power", "dfdt")
+
 
 @dataclass(frozen=True)
 class PhasePair:
@@ -116,11 +119,7 @@ class PairStatistics:
         range (p above ~1.3e154 W), as any float product."""
         if peak_power_w < 0:
             raise ValueError(f"peak power must be >= 0, got {peak_power_w}")
-        try:
-            square = peak_power_w**2
-        except OverflowError:
-            square = math.inf
-        mu_c = source.pair_coeff * square * source.bandwidth_time_product
+        mu_c = source.pair_coeff * (peak_power_w * peak_power_w) * source.bandwidth_time_product
         mu_n = source.noise_coeff * peak_power_w * source.bandwidth_time_product
         return cls(mu_c, mu_n, mu_n, mu_c + mu_n)
 
@@ -152,6 +151,8 @@ def sweep_config(
     """The config at one sweep point, and its channel mean: "mu" re-solves the pump power
     for the mean value, "power" sets the power to value, "dfdt" sets the bandwidth-time
     product to value and re-solves the power to hold cfg's own mean. Nothing else changes."""
+    if sweep not in SWEEPS:
+        raise ValueError(f"sweep must be one of {', '.join(SWEEPS)}, got {sweep!r}")
     source, mu = cfg.source, value
     if sweep == "dfdt":
         mu = PairStatistics.from_power(source.peak_power_w, source).mu_total

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .analytic import (
+    SWEEPS,
     PairStatistics,
     PhasePair,
     car_closed_form,
@@ -112,6 +113,19 @@ def _write(
             fh.write(text)
 
 
+# Most points --steps may ask for, in analytic and mc-fringe alike: far
+# above any documented sweep, far below a list that fills memory.
+MAX_STEPS = 2**16
+
+
+def _check_steps(steps: int, least: int, purpose: str = "") -> None:
+    """Refuse --steps outside [least, MAX_STEPS], before any list is built."""
+    if steps < least:
+        raise ValueError(f"--steps must be >= {least}{purpose}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"--steps must be <= {MAX_STEPS}, got {steps}")
+
+
 def _finite_float(token: str | None) -> float:
     """A real flag or CSV cell; argparse names the flag when this raises."""
     try:
@@ -165,8 +179,7 @@ def cmd_analytic(ns) -> int:
     """Closed-form sweep: means, and the unsaturated, symmetrised limits of
     the coincidence ratio and the visibility (car_closed_form, predicted_visibility)."""
     cfg = _prepare(ns)
-    if ns.steps < 1:
-        raise ValueError("--steps must be >= 1")
+    _check_steps(ns.steps, 1)
     if ns.start <= 0 or ns.stop <= 0:
         raise ValueError("sweep range must be positive")
     values = _linspace(ns.start, ns.stop, ns.steps)
@@ -226,8 +239,7 @@ def cmd_mc_car(ns) -> int:
 
 def cmd_mc_fringe(ns) -> int:
     """Phase sweep of delay-0 coincidences, then the visibility fit."""
-    if ns.steps < 4:
-        raise ValueError("--steps must be >= 4 for a fringe sweep")
+    _check_steps(ns.steps, 4, " for a fringe sweep")
     cfg = replace(_prepare(ns), interferometers_present=True)
     phi_s = [2.0 * math.pi * k / ns.steps for k in range(ns.steps)]
     phases = [PhasePair(phi, ns.phi_i) for phi in phi_s]
@@ -245,21 +257,24 @@ def cmd_mc_fringe(ns) -> int:
 
 def _read_csv_columns(path: str, required: list[str]) -> dict[str, list[float]]:
     """The required columns as float lists; every cell must be finite."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        missing = [c for c in required if c not in fields]
-        if missing:
-            raise ValueError(
-                f"{path}: missing columns {missing}; found {fields}"
-            )
-        columns: dict[str, list[float]] = {c: [] for c in required}
-        for row in reader:
-            for c in required:
-                try:
-                    columns[c].append(_finite_float(row[c]))
-                except argparse.ArgumentTypeError as exc:
-                    raise ValueError(f"{path}: row {reader.line_num}, column {c}: {exc}") from None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            fields = reader.fieldnames or []
+            missing = [c for c in required if c not in fields]
+            if missing:
+                raise ValueError(f"{path}: missing columns {missing}; found {fields}")
+            columns: dict[str, list[float]] = {c: [] for c in required}
+            for row in reader:
+                for c in required:
+                    try:
+                        columns[c].append(_finite_float(row[c]))
+                    except argparse.ArgumentTypeError as exc:
+                        raise ValueError(
+                            f"{path}: row {reader.line_num}, column {c}: {exc}"
+                        ) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not columns[required[0]]:
         raise ValueError(f"{path}: no data rows")
     return columns
@@ -309,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analytic", help="closed-form sweep to CSV")
     common(p_an)
-    p_an.add_argument("--sweep", choices=["mu", "power", "dfdt"], required=True)
+    p_an.add_argument("--sweep", choices=SWEEPS, required=True)
     p_an.add_argument("--start", type=_finite_float, required=True)
     p_an.add_argument("--stop", type=_finite_float, required=True)
     p_an.add_argument("--steps", type=int, required=True)

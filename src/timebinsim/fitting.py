@@ -8,11 +8,12 @@ guess, no convergence question.
 
 The fits run on the standard library. The normal equations are summed with
 math.fsum, then solved and inverted exactly in rationals, and the
-visibility is rounded once from the exact solution. So a fit is a pure
-function of its input floats: it does not depend on which BLAS kernel
-(OpenBLAS picks one per CPU at run time under DYNAMIC_ARCH) numpy would
-have used, and exact V = 1 data are not clamped by a rounding error one ulp
-above 1.
+visibility and its error are each rounded once from the exact solution:
+the fringe fit never rounds a square of its count level to a float. So a
+fit is a pure function of its input floats: it does not depend on which
+BLAS kernel (OpenBLAS picks one per CPU at run time under DYNAMIC_ARCH)
+numpy would have used, and exact V = 1 data are not clamped by a rounding
+error one ulp above 1.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _sqrt(x: Fraction) -> float:
 
 
 def _solve(normal, rhs):
-    """Exact solution and inverse of a symmetric 3x3 system (rationals)."""
+    """Exact solution and inverse of a positive definite symmetric 3x3 system (rationals)."""
     (a, b, c), (_, e, f), (_, _, i) = normal
     adj = (
         (e * i - f * f, c * f - b * i, b * f - c * e),
@@ -92,7 +93,8 @@ def _solve(normal, rhs):
         (b * f - c * e, b * c - a * f, a * e - b * b),
     )
     det = a * adj[0][0] + b * adj[0][1] + c * adj[0][2]
-    if det == 0:
+    # Sylvester's test (a > 0): rounding can make a near-singular one indefinite.
+    if det <= 0 or adj[2][2] <= 0:
         raise ValueError("phase samples do not determine the fringe: singular normal equations")
     inverse = [[entry / det for entry in row] for row in adj]
     return [sum(m * v for m, v in zip(row, rhs)) for row in inverse], inverse
@@ -128,25 +130,17 @@ def fit_fringe(phases, counts) -> FringeFit:
         raise ValueError(f"fitted mean level {float(level_q):.3g} <= 0: no signal to normalize by")
 
     level, b_cos, c_sin = float(level_q), float(b_q), float(c_q)
-    amplitude = _sqrt(b_q**2 + c_q**2)
-    visibility = _sqrt((b_q**2 + c_q**2) / level_q**2)
+    amplitude_sq = b_q**2 + c_q**2
+    visibility = _sqrt(amplitude_sq / level_q**2)
     clamped = visibility > 1.0
     if clamped:
         visibility = 1.0
 
-    try:
-        if amplitude > 0:
-            grad = (-amplitude / level**2, b_cos / (amplitude * level), c_sin / (amplitude * level))
-        else:
-            grad = (0.0, 1.0 / level, 1.0 / level)
-        grad = [Fraction(g) for g in grad]  # an infinite one raises OverflowError
-    except (OverflowError, ZeroDivisionError):  # level**2 overflowed, or underflowed to 0
-        raise ValueError(
-            f"coincidences must keep the squared mean level within the float range,"
-            f" got a mean level of {level:.3g}"
-        ) from None
-    variance = sum(gj * cov[j][k] * gk for j, gj in enumerate(grad) for k, gk in enumerate(grad))
-    visibility_error = _sqrt(max(variance, 0))
+    # Delta method on V^2 = s / A^2, s = B^2 + C^2, exact: var(V) = h' cov h
+    # / (s A^2), h = (-s / A, B, C); at s = 0, h = (0, 1, 1) and s counts as 1.
+    h = (-amplitude_sq / level_q, b_q, c_q) if amplitude_sq else (0, 1, 1)
+    variance = sum(hj * cov[j][k] * hk for j, hj in enumerate(h) for k, hk in enumerate(h))
+    visibility_error = _sqrt(variance / (amplitude_sq or 1) / level_q**2)
 
     residual = [v - (level + b_cos * xc + c_sin * xs) for v, (_, xc, xs) in zip(y, design)]
     return FringeFit(
@@ -206,10 +200,7 @@ def fit_scaling(
         raise ValueError("powers must be positive")
     if bandwidth_time_product <= 0:
         raise ValueError("bandwidth_time_product must be positive")
-    try:
-        pair_x = [v**2 * bandwidth_time_product for v in p]
-    except OverflowError:  # a power above ~1.3e154
-        pair_x = [inf]
+    pair_x = [v * v * bandwidth_time_product for v in p]
     if not all(isfinite(v) for v in pair_x):
         raise ValueError(f"power_w must keep p^2 F finite, got a power of {max(p)!r}")
     noise_x = [v * bandwidth_time_product for v in p]

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ class TestPairStatistics:
         st = PairStatistics.from_power(1e200, baseline.source)
         assert st.mu_pairs == math.inf
         assert st.mu_total == math.inf
+
+    def test_pair_mean_uses_the_correctly_rounded_square(self, baseline):
+        # libm pow, behind float ** 2, rounds this square one ulp off.
+        p, src = 0.008369856676848756, baseline.source
+        st = PairStatistics.from_power(p, src)
+        assert st.mu_pairs == src.pair_coeff * float(Fraction(p) ** 2) * src.bandwidth_time_product
 
     def test_negative_power_rejected(self, baseline):
         with pytest.raises(ValueError, match="peak power must be >= 0"):
@@ -143,6 +150,12 @@ class TestSweepConfig:
             operating, rel=1e-12
         )
         assert self.restored(point, cfg, "peak_power_w", "bandwidth_ghz") == cfg
+
+    @pytest.mark.parametrize("sweep", ["Power", "pump", ""])
+    def test_unknown_sweep_is_refused(self, cfg, sweep):
+        with pytest.raises(ValueError) as err:
+            sweep_config(cfg, sweep, 1e-3)
+        assert str(err.value) == f"sweep must be one of mu, power, dfdt, got {sweep!r}"
 
 
 class TestCarRoutes:

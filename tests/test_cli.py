@@ -13,7 +13,7 @@ import pytest
 
 from conftest import lossless_config, num_blocks, pairs_only_config
 from timebinsim import PhasePair, __version__, config_to_dict, default_config, expected_histogram
-from timebinsim.cli import BLAS_THREAD_VARIABLES, _linspace, config_hash, main
+from timebinsim.cli import BLAS_THREAD_VARIABLES, MAX_STEPS, _linspace, config_hash, main
 
 # Closed-form anchors at the baseline operating point, symmetrized
 # detection; frozen from direct evaluation of the formulas.
@@ -150,6 +150,15 @@ class TestAnalytic:
         # Equals form: argparse would read a bare "-1" as a flag.
         assert main(base + ["--start=-1", "--stop", "1e-2", "--steps", "3"]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: sweep range must be positive"]
+        assert not out.exists()
+
+    def test_too_many_steps_refused_before_any_list(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["analytic", "--out-dir", str(out), "--sweep", "mu", "--start", "1e-4"]
+        assert main(argv + ["--stop", "1e-2", "--steps", str(10**12)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --steps must be <= {MAX_STEPS}, got {10**12}"
+        ]
         assert not out.exists()
 
 
@@ -421,6 +430,15 @@ class TestMcFringe:
         assert ">= 4" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_steps_refused_before_running(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        argv = ["mc-fringe", "--out-dir", str(out), "--pulses", "1", "--steps", str(10**12)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --steps must be <= {MAX_STEPS}, got {10**12}"
+        ]
+        assert not out.exists()
+
     def test_dead_source_reports_fit_error(self, tmp_path):
         cfg = replace(
             pairs_only_config(0.05, 5, 1000, seed=71_002),
@@ -501,6 +519,16 @@ class TestFit:
         assert fits[0] == fits[1]
         assert json.loads(fits[1])["visibility"] == pytest.approx(0.74, abs=1e-9)
 
+    def test_csv_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"phi_s,coincidences\n0.0,1\n\xff,2\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--model", "fringe", "--data", str(data), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {data}: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
+
     def test_scaling_round_trip(self, tmp_path):
         powers = np.linspace(0.05, 0.2, 16)
         data = tmp_path / "scaling.csv"
@@ -579,9 +607,9 @@ class TestFit:
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
     def test_fringe_level_beyond_float_range_is_one_error_line(self, tmp_path, capsys, scale):
-        # The fitted mean level is finite, but its square, in the gradient
-        # of the visibility error, overflowed (or underflowed to 0 and was
-        # divided by) with a traceback.
+        # The fitted mean level is finite, but its square overflows (or
+        # underflows to 0). The visibility error, taken in rationals, never
+        # rounds that square to a float, so these exact V = 0.7 data fit.
         data = tmp_path / "fringe.csv"
         rows = "".join(
             f"{2 * math.pi * k / 16!r},{scale * (1 + 0.7 * math.cos(2 * math.pi * k / 16))!r}\n"
@@ -589,12 +617,10 @@ class TestFit:
         )
         data.write_text("phi_s,coincidences\n" + rows)
         out = tmp_path / "o"
-        assert main(["fit", "--model", "fringe", "--data", str(data), "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: coincidences must keep the squared mean level within the float range,"
-            f" got a mean level of {scale:.3g}"
-        ]
-        assert not out.exists()
+        assert main(["fit", "--model", "fringe", "--data", str(data), "--out-dir", str(out)]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["visibility"] == pytest.approx(0.7, abs=1e-12)
+        assert math.isfinite(fit["visibility_error"])
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "o"

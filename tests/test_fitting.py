@@ -101,6 +101,19 @@ class TestFitFringe:
         with pytest.raises(ValueError, match="finite"):
             fit_fringe(PHASES_16, np.full(16, np.nan))
 
+    def test_near_degenerate_phases_are_singular(self):
+        # Two distinct phases only: rounding leaves the normal equations
+        # indefinite, which gave a negative error variance, reported as 0.
+        with pytest.raises(ValueError, match="singular normal equations"):
+            fit_fringe([0.0, 0.0, 0.0, math.pi + 1e-15], [5.0, 5.0, 5.0, 7.0])
+
+    def test_flat_fringe_error_at_zero_amplitude(self):
+        # The fitted amplitude is near zero here, where the delta method
+        # divides by B^2 + C^2; the error is sqrt(2 / (16 * 100)).
+        fit = fit_fringe(PHASES_16, np.full(16, 100.0))
+        assert fit.visibility < 1e-12
+        assert fit.visibility_error == pytest.approx(math.sqrt(2 / 1600), rel=1e-12)
+
     @pytest.mark.parametrize(
         "phases, counts",
         [

@@ -400,7 +400,7 @@ class TestReproducibility:
         # lossless pins drew the same streams. They change only together
         # with __version__, since a change to the random streams bumps the
         # version.
-        assert timebinsim.__version__ == "0.9.0"
+        assert timebinsim.__version__ == "0.9.1"
         one_block = lossless_config(1e-2, 500_000, seed=123, dark_rate_hz=1e6)
         three_blocks = lossless_config(0.5, 3_000_000, seed=456)
         dense = lossless_config(1.0, 2_000_000, seed=654)
