@@ -13,6 +13,10 @@ listed in the manifest.
 
 CSV files carry a header row and LF line endings; JSON outputs are single
 objects with sorted keys.
+
+`run`, the console script and `python -m` entry, ends the process without
+interpreter teardown once `main` has closed every output; `main(argv)` is
+the in-process entry.
 """
 
 from __future__ import annotations
@@ -370,5 +374,41 @@ def main(argv=None) -> int:
         return 1
 
 
+def _observed() -> bool:
+    """Whether a profiler, tracer or sys.monitoring tool (3.12+) is attached,
+    one that reports only on the interpreter's normal exit."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)
+    )
+
+
+def run() -> None:
+    """main() on sys.argv, then end the process with its exit code.
+
+    By the time main returns, _write has closed every output and
+    montecarlo._map has joined its pool, so the only state left is the
+    two standard streams: they are flushed and the process ends with
+    os._exit, skipping the teardown of every loaded module (numpy's
+    included). A profiler or tracer, or a flush that fails, gets the
+    normal exit instead.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --version, --help, a usage error
+        code = exc.code
+    if _observed():
+        raise SystemExit(code)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start-up
+                stream.flush()
+    except (OSError, ValueError):  # the normal exit flushes again and reports it
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

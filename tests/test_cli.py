@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -816,3 +817,124 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "sweep.csv").exists()
+
+
+# The environment without PYTHONUNBUFFERED: a command's stdout into a pipe
+# or file is block-buffered, as users run it, so output left unflushed at
+# exit would be lost.
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def run_module(*args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """python -m timebinsim.cli with args, its stderr (and by default its
+    stdout) captured as text."""
+    return subprocess.run(
+        [sys.executable, "-m", "timebinsim.cli", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=BUFFERED_ENV,
+    )
+
+
+class TestExit:
+    """The command line ends without interpreter teardown; its output,
+    exit code and child processes are as with the normal exit."""
+
+    def test_version_through_a_pipe(self):
+        proc = run_module("--version")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{__version__}\n"
+
+    def test_command_skips_interpreter_teardown(self):
+        # An atexit hook runs in the interpreter's teardown, which run() skips.
+        launcher = (
+            "import atexit, sys; from timebinsim.cli import run; "
+            "atexit.register(print, 'teardown'); sys.argv[1:] = ['--version']; run()"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher], capture_output=True, text=True, env=BUFFERED_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{__version__}\n"
+
+    def test_version_with_stdout_closed(self):
+        # sys.stdout is None in a process started with fd 1 closed.
+        launcher = (
+            "import os, sys; os.close(1); "
+            "os.execv(sys.executable, [sys.executable, '-m', 'timebinsim.cli', '--version'])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher], stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_version_into_a_broken_pipe_reports_as_before(self):
+        # The failed flush takes the normal exit, whose own flush fails
+        # again: CPython's one-line report and exit status 120.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module("--version", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120
+        assert "BrokenPipeError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_usage_error_exits_2(self, tmp_path):
+        proc = run_module("analytic", "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error: the following arguments are required: --sweep" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_pool_run_writes_every_file_and_leaves_no_process(self, tmp_path):
+        cfg = lossless_config(1.0, 3_000_000)
+        assert num_blocks(cfg) > 2
+        argv = ["mc-car", "--config", write_config(tmp_path, cfg), "--workers", "2"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "timebinsim.cli", *argv, "--out-dir", str(tmp_path / "fast")],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=BUFFERED_ENV,
+            start_new_session=True,
+        ) as child:
+            _, stderr = child.communicate(timeout=300)
+        assert child.returncode == 0, stderr
+        # The command led its own process group, so a pool worker it left
+        # behind keeps the group alive, blocked on its task queue for good.
+        # A start-method helper that ends on the command's exit gets a moment.
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                os.killpg(child.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process outlived the command"
+            time.sleep(0.05)
+        assert main([*argv, "--out-dir", str(tmp_path / "normal")]) == 0
+        fast, normal = tmp_path / "fast", tmp_path / "normal"
+        files = sorted(f.name for f in normal.iterdir())
+        assert files == ["car.json", "histogram.csv", "manifest.json"]
+        assert sorted(f.name for f in fast.iterdir()) == files
+        for name in files:
+            assert (fast / name).read_bytes() == (normal / name).read_bytes(), name
+
+    def test_profiler_gets_the_normal_exit(self, tmp_path):
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "cProfile", "-m", "timebinsim.cli",
+                "analytic", "--sweep", "mu", "--start", "1e-4", "--stop", "1e-2",
+                "--steps", "3", "--out-dir", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env=BUFFERED_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "function calls" in proc.stdout
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "sweep.csv"]
+        assert len(read_rows(out / "sweep.csv")) == 3
