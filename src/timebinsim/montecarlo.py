@@ -39,8 +39,8 @@ block's one join per channel, so a pair across a block edge is counted
 once and no block is held twice. The later photon of a pair seen one slot
 apart can land one slot past its block, in a slot the next block may fill
 too. The clicks are taken once per block, as the distinct slots of each
-joined channel, so that slot is one click. Working in fixed slices, the
-fold holds ~6 bytes a detection of its largest block.
+joined channel, so that slot is one click. The fold holds 6-7 bytes a
+detection of its largest block.
 
 With several workers a command opens one pool for all its points (the
 phases of a fringe sweep, the rows of a CAR curve) and sends it every
@@ -95,8 +95,8 @@ MAX_BLOCK_PULSES = 2**31 - 1 - COINCIDENCE_WINDOW
 # Most expected draws a block may ask for. A block above one pulse expects at
 # most EVENTS_PER_BLOCK, so only a one-pulse block can exceed it.
 MAX_BLOCK_DRAWS = 4 * EVENTS_PER_BLOCK
-# Idler entries histogram_from_counts bins, and entries _distinct compacts, at
-# a time: temporaries stay below 0.4 MiB, and larger slices run no faster.
+# Idler entries histogram_from_counts bins at a time: its temporaries stay
+# below 0.4 MiB, and larger slices save at most ~15% on dense blocks.
 HISTOGRAM_SLICE = 2**13
 
 
@@ -201,19 +201,14 @@ def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
 
 
 def _distinct(slots: np.ndarray) -> np.ndarray:
-    """Distinct entries of ascending slots, compacted in place a slice at a
-    time. np.unique would sort again, and without return_counts numpy 2.3+
-    takes a hash path that is ~50x slower on a million slots."""
+    """Distinct entries of ascending slots: each entry that differs from the
+    one before it. np.unique would sort again, and without return_counts
+    numpy 2.3+ takes a hash path that is ~50x slower on a million slots."""
     import numpy as np
 
     keep = np.ones(len(slots), dtype=bool)
     np.not_equal(slots[1:], slots[:-1], out=keep[1:])
-    kept = 0
-    for lo in range(0, len(slots), HISTOGRAM_SLICE):
-        part = slots[lo : lo + HISTOGRAM_SLICE][keep[lo : lo + HISTOGRAM_SLICE]]
-        slots[kept : kept + len(part)] = part
-        kept += len(part)
-    return slots[:kept]
+    return slots[keep]
 
 
 def _block(run: tuple, b: int, tail=None):
@@ -268,8 +263,10 @@ def histogram_from_counts(signal, idler) -> dict[int, int]:
     Pass distinct slots to count click pairs, or one entry per detection to
     count every detection pair. The idler is binned in slices of
     HISTOGRAM_SLICE entries, in constant memory, and each slice's windows are
-    walked, not listed: pass k bins every entry against the k-th signal entry
-    of its window and drops the entries whose window is spent, until none is.
+    walked, not listed: one search finds the first signal entry of each
+    window, and pass k bins every entry against the k-th signal entry from
+    there, dropping the entries that run past the signal's end or the
+    window's, until none is left.
     """
     import numpy as np
 
@@ -277,13 +274,15 @@ def histogram_from_counts(signal, idler) -> dict[int, int]:
     binned = np.zeros(2 * window + 1, dtype=np.intp)
     for lo in range(0, len(idler), HISTOGRAM_SLICE):
         part = idler[lo : lo + HISTOGRAM_SLICE]
-        # Signal entries within the window of each idler entry: [at, last).
+        # The first signal entry of each idler entry's window.
         at = np.searchsorted(signal, part - window)
-        last = np.searchsorted(signal, part + window, side="right")
         while len(part):
-            live = at < last
-            part, at, last = part[live], at[live], last[live]
-            binned += np.bincount(part - signal[at] + window, minlength=2 * window + 1)
+            live = at < len(signal)
+            part, at = part[live], at[live]
+            delay = part - signal[at]
+            live = delay >= -window
+            part, at, delay = part[live], at[live], delay[live]
+            binned += np.bincount(delay + window, minlength=2 * window + 1)
             at += 1
     return {delay: int(binned[delay + window]) for delay in range(-window, window + 1)}
 

@@ -479,8 +479,8 @@ class TestDetectedCounts:
 
     @pytest.mark.parametrize("slice_entries", [3, 7, 2**13])
     def test_slot_sets_compact_in_place_across_slices(self, monkeypatch, slice_entries):
-        # _distinct compacts into its input's buffer a slice at a time; runs
-        # of a repeated slot straddle the slice edges.
+        # Runs of a repeated slot, one to four entries long, each become one
+        # entry, and the clicks keep the blocks' int32 dtype.
         monkeypatch.setattr(montecarlo, "HISTOGRAM_SLICE", slice_entries)
         slots = np.repeat(np.arange(-3, 20_000, 3, dtype=np.int32), 1 + np.arange(6_668) % 4)
         expected = np.unique(slots)
@@ -548,6 +548,32 @@ class TestHistogram:
         assert hist == brute_force_histogram(counts_s, counts_i, collapse)
 
     @pytest.mark.parametrize("collapse, slice_entries", SLICED)
+    @pytest.mark.parametrize("ends", ["no-signal", "no-idler", "signal-first"])
+    def test_walk_off_the_signal_end(self, monkeypatch, collapse, slice_entries, ends):
+        # With no signal entry every idler window starts past the signal's
+        # end; with no idler entry there is no window to walk. Where the
+        # signal ends at slot 19 and the idler fills slots 20-39, the
+        # windows of idler entries from slot 23 on start past the last
+        # signal entry and those of slots 16-22 run into it, so whole
+        # slices and the ends of slices are dropped there.
+        if slice_entries:
+            monkeypatch.setattr(montecarlo, "HISTOGRAM_SLICE", slice_entries)
+        rng = np.random.default_rng(13)
+        counts_s = rng.integers(0, 4, size=40)
+        counts_i = rng.integers(1, 4, size=40)
+        if ends == "no-signal":
+            counts_s[:] = 0
+        elif ends == "no-idler":
+            counts_i[:] = 0
+        else:
+            counts_s[19], counts_s[20:] = 2, 0
+        channels = events_of(counts_s), events_of(counts_i)
+        if collapse:
+            channels = [np.unique(slots) for slots in channels]
+        hist = histogram_from_counts(*channels)
+        assert hist == brute_force_histogram(counts_s, counts_i, collapse)
+
+    @pytest.mark.parametrize("collapse, slice_entries", SLICED)
     def test_streamed_run_matches_whole_run_events(self, monkeypatch, collapse, slice_entries):
         # Five blocks of 40 slots, the last one 2 slots long; at two
         # detections per slot every block has events in its first and last
@@ -577,9 +603,10 @@ class TestHistogram:
     def test_int32_slots_at_the_top_of_the_range(self, collapse):
         # Block-relative slots of the longest int32 block, crowded near both
         # ends of [-COINCIDENCE_WINDOW, n]: the tail, the first slots, the
-        # last slots and the spill slot n. The histogram's window bounds
-        # reach n + COINCIDENCE_WINDOW = 2^31 - 1; had they wrapped, the int32
-        # counts would differ from the int64 ones.
+        # last slots and the spill slot n. The walk takes delays of nearly
+        # -n, from an entry below the gap to the first signal entry above
+        # it; had they wrapped, the int32 counts would differ from the int64
+        # ones.
         n = MAX_BLOCK_PULSES
         rng = np.random.default_rng(5)
         span = np.r_[-COINCIDENCE_WINDOW : 8, n - 8 : n + 1]
