@@ -389,8 +389,8 @@ def run() -> None:
     """main() on sys.argv, then end the process with its exit code.
 
     By the time main returns, _write has closed every output and
-    montecarlo._map has joined its pool, so the only state left is the
-    two standard streams: they are flushed and the process ends with
+    montecarlo._sweep_counts has joined its pool, so the only state left is
+    the two standard streams: they are flushed and the process ends with
     os._exit, skipping the teardown of every loaded module (numpy's
     included). A profiler or tracer, or a flush that fails, gets the
     normal exit instead.

@@ -44,18 +44,18 @@ detection of its largest block.
 
 With several workers a command opens one pool for all its points (the
 phases of a fringe sweep, the rows of a CAR curve) and sends it every
-chunk. A chunk is a contiguous run of one point's blocks; a process folds it
-and returns the 7 delay counts, and the parent adds each point's chunks.
-A point is cut into several chunks only when the command has fewer points
-than processes. The fold of a chunk first draws again the few blocks before
-it whose detections reach its first COINCIDENCE_WINDOW slots, only to build
-the tail it starts from, so every pair is counted in exactly one chunk. A
-chunk holds at least two blocks, so with blocks longer than
-COINCIDENCE_WINDOW the one block drawn again is at most a third of a chunk's
-work, and it expects at least EVENTS_PER_BLOCK draws. At the default losses
-a pool of two measured no faster than one process up to ~2e6 draws (2
-vCPUs). A command with one chunk in all, or one process to run them, runs
-in this process.
+chunk: _sweep_counts opens it, and nothing else does. A chunk is a
+contiguous run of one point's blocks; a process folds it and returns the 7
+delay counts, and the parent adds each point's chunks. A point is cut into
+several chunks only when the command has fewer points than processes. The
+fold of a chunk first draws again the few blocks before it whose
+detections reach its first COINCIDENCE_WINDOW slots, only to build the tail
+it starts from, so every pair is counted in exactly one chunk. A chunk
+holds at least two blocks, so with blocks longer than COINCIDENCE_WINDOW
+the one block drawn again is at most a third of a chunk's work, and it
+expects at least EVENTS_PER_BLOCK draws. At the default losses a pool of
+two measured even with one process at ~2e6 draws (2 vCPUs). A command with
+one chunk in all, or one process to run them, runs in this process.
 
 numpy is imported inside the functions that draw and bin, so importing this
 module, and every command that samples nothing, runs on the standard
@@ -180,21 +180,6 @@ def _chunks(
     return [(run, first, stop) for first, stop in zip(edges, edges[1:])]
 
 
-def _map(worker, items: list, processes: int) -> list:
-    """worker(item) of each item, in order: on a pool of
-    min(processes, len(items)) processes, or in this process when that is
-    at most one."""
-    processes = min(processes, len(items))
-    if processes <= 1:
-        return [worker(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    import numpy  # noqa: F401  (forked workers inherit it instead of each importing it)
-
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(worker, items))
-
-
 def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
     """Unsorted int32 slots of Poisson(mean) events in each of n slots."""
     return rng.integers(0, n, rng.poisson(mean * n), dtype="int32")
@@ -247,13 +232,10 @@ def _detections(chunk) -> tuple:
 
 
 def detected_counts(cfg: ExperimentConfig, workers: int = 1, *, point: int = 0):
-    """Detections of a histogram run: (signal, idler), each channel's
-    ascending slots with one entry per detection."""
-    import numpy as np
-
-    chunks = _chunks(cfg, point, workers)
-    parts = _map(_detections, chunks, len(chunks))
-    return tuple(np.concatenate(slots) for slots in zip(*parts))
+    """Detections of a histogram run, drawn whole in this process whatever
+    workers is: (signal, idler), ascending slots, one entry per detection."""
+    (chunk,) = _chunks(cfg, point, 1)
+    return _detections(chunk)
 
 
 def histogram_from_counts(signal, idler) -> dict[int, int]:
@@ -335,7 +317,17 @@ def _sweep_counts(points: list[tuple], workers: int) -> list[dict[int, int]]:
     processes = _processes(workers)
     share = -(-processes // max(1, len(points)))
     plans = [_chunks(cfg, point, share, phases) for cfg, point, phases in points]
-    parts = iter(_map(_fold, [chunk for plan in plans for chunk in plan], processes))
+    chunks = [chunk for plan in plans for chunk in plan]
+    processes = min(processes, len(chunks))
+    if processes <= 1:
+        parts = map(_fold, chunks)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        import numpy.random  # noqa: F401  (forked workers inherit it instead of each importing it)
+
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            parts = iter(list(pool.map(_fold, chunks)))
     sums = []
     for plan in plans:
         folded = [next(parts) for _ in plan]

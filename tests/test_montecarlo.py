@@ -4,6 +4,9 @@ fringe counts checked against the closed forms and the sector probabilities."""
 import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -160,6 +163,29 @@ def fake_pool(monkeypatch):
     return FakePool.opened
 
 
+# Prints, for each pool a two-worker run of 4 blocks starts, whether
+# numpy.random was loaded when the pool started.
+NUMPY_RANDOM_AT_POOL_START = """
+import json, os, sys
+from concurrent.futures import ProcessPoolExecutor
+
+loaded = []
+start = ProcessPoolExecutor.__init__
+
+def recording_start(self, *args, **kwargs):
+    loaded.append("numpy.random" in sys.modules)
+    start(self, *args, **kwargs)
+
+ProcessPoolExecutor.__init__ = recording_start
+os.sched_getaffinity = lambda pid: {0, 1}
+from conftest import lossless_config
+from timebinsim import simulate_car_run
+
+simulate_car_run(lossless_config(1.0, 3_000_000), workers=2)
+print(json.dumps(loaded))
+"""
+
+
 class TestDispatch:
     @pytest.mark.parametrize(
         "workers, blocks, cores, size",
@@ -292,6 +318,34 @@ class TestDispatch:
         assert main([*args, "--steps", "16", "--workers", "1"]) in (0, 1)
         assert fake_pool == []
 
+    def test_detections_open_no_pool(self, monkeypatch, fake_pool):
+        # The 4-block mean-1 run is two chunks at two workers, but its
+        # detection lists are drawn whole in this process.
+        affinity = lambda pid: {0, 1}
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
+        cfg = lossless_config(1.0, 3_000_000)
+        assert len(montecarlo._chunks(cfg, 0, 2)) == 2
+        pooled = detected_counts(cfg, workers=2)
+        assert fake_pool == []
+        for slots, serial in zip(pooled, detected_counts(cfg)):
+            assert np.array_equal(slots, serial)
+
+    def test_pool_forks_with_numpy_random_loaded(self):
+        # A fresh interpreter records, as each pool starts, whether its
+        # forked workers inherit numpy.random or must each import it.
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests), "src")
+        path = os.pathsep.join(filter(None, (src, tests, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_RANDOM_AT_POOL_START],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [True]
+
 
 class TestReproducibility:
     def test_same_seed_same_histogram(self):
@@ -335,8 +389,8 @@ class TestReproducibility:
 
     def test_worker_count_is_invisible_across_chunks(self, monkeypatch):
         # Eleven 20-pulse blocks at 8 pairs per pulse, cut into 2 and 3
-        # chunks that run in pool processes: the histogram, a fringe point
-        # and the detections equal those of the run in this process.
+        # chunks at 2 and 3 workers: the histogram, a fringe point and the
+        # detections equal those of the run at one worker.
         fringe_cfg = pairs_only_config(8.0, 5, 10 * 20 + 3)
         cfg = replace(fringe_cfg, interferometers_present=False)
         phases = PhasePair(0.6, 0.0)
