@@ -14,7 +14,6 @@ from .analytic import (
     car_closed_form,
     estimate_gamma,
     expected_histogram,
-    ideal_visibility,
     predicted_visibility,
     pump_power_for_mu,
     sector_probabilities,
@@ -81,6 +80,5 @@ __all__ = [
     "effective_alpha",
     "validate_config",
     "PhasePair",
-    "ideal_visibility",
     "sector_probabilities",
 ]

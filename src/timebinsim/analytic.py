@@ -93,17 +93,6 @@ def sector_probabilities(
     return (_matched(n_slots, phases, 1), 1 / 16, 1 / 16, one_kept, one_kept)
 
 
-def ideal_visibility(n_slots: int) -> float:
-    """Fringe visibility of the lossless, noise-free n-slot state.
-
-    The two edge slots of the coherence window never interfere (each is fed
-    by a single path), which caps the visibility at (n-1)/n.
-    """
-    if n_slots < 2:
-        raise ValueError(f"n_slots must be >= 2, got {n_slots}")
-    return (n_slots - 1) / n_slots
-
-
 @dataclass(frozen=True)
 class PairStatistics:
     """Per-pulse means: correlated pairs, per-channel noise, channel total."""
@@ -209,13 +198,17 @@ def predicted_visibility(
 
         V = (n-1)/n * C / (C + 2 A)
 
-    where (n-1)/n is the edge-slot cap of ideal_visibility.
+    where (n-1)/n caps the fringe of the lossless, noise-free state
+    (sector_probabilities): the two edge slots of the coherence window are
+    each fed by a single path and never interfere.
 
     The alphas here exclude the 1/2 post-selection (it is explicit in the
     formula) but include any interferometer excess loss. This is the
     unsaturated limit of expected_histogram's exact visibility.
     """
-    edge_cap = ideal_visibility(n_slots)
+    if n_slots < 2:
+        raise ValueError(f"n_slots must be >= 2, got {n_slots}")
+    edge_cap = (n_slots - 1) / n_slots
     c = stats.mu_pairs * alpha_signal * alpha_idler / 4.0
     a_acc = ((stats.mu_pairs + stats.mu_noise_signal) * alpha_signal / 2.0 + dark_signal) * (
         (stats.mu_pairs + stats.mu_noise_idler) * alpha_idler / 2.0 + dark_idler

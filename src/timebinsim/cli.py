@@ -30,7 +30,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
-from pathlib import Path
 
 from . import __version__
 from .analytic import (
@@ -55,7 +54,6 @@ from .params import (
     config_to_dict,
     default_config,
     require_valid,
-    symmetrized_detection,
 )
 
 
@@ -110,10 +108,9 @@ def _write(
         "seed": cfg.seed,
         "outputs": list(files),
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     for name, text in {**files, **(reports or {}), "manifest.json": _json(manifest)}.items():
-        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -180,15 +177,18 @@ def _prepare(ns) -> ExperimentConfig:
 # ----------------------------------------------------------------------
 
 def cmd_analytic(ns) -> int:
-    """Closed-form sweep: means, and the unsaturated, symmetrised limits of
-    the coincidence ratio and the visibility (car_closed_form, predicted_visibility)."""
+    """Closed-form sweep: means, and the unsaturated limits of the coincidence
+    ratio and the visibility. car_closed_form takes one arm, the geometric-mean
+    alpha and the mean dark probability of the two without interferometer
+    excess loss; predicted_visibility takes both arms with it."""
     cfg = _prepare(ns)
     _check_steps(ns.steps, 1)
     if ns.start <= 0 or ns.stop <= 0:
         raise ValueError("sweep range must be positive")
     values = _linspace(ns.start, ns.stop, ns.steps)
 
-    alpha_sym, dark_mean = symmetrized_detection(cfg)
+    alpha_s, alpha_i, dark_s, dark_i = arm_detection(cfg, include_interferometer=False)
+    alpha_sym, dark_mean = math.sqrt(alpha_s * alpha_i), 0.5 * (dark_s + dark_i)
     detection = arm_detection(cfg, include_interferometer=True)
 
     header = [ns.sweep, "mu_pairs", "mu_noise", "car", "predicted_visibility"]
@@ -301,7 +301,7 @@ def cmd_fit(ns) -> int:
             data["mu_noise_idler"],
             cfg.source.bandwidth_time_product,
         )
-    arguments = {"model": ns.model, "data": Path(ns.data).name}
+    arguments = {"model": ns.model, "data": os.path.basename(ns.data)}
     _write(ns.out_dir, "fit", arguments, cfg, {"fit.json": _json(asdict(fit))})
     return 0
 

@@ -13,13 +13,13 @@ the fringe fit never rounds a square of its count level to a float. So a
 fit is a pure function of its input floats: it does not depend on which
 BLAS kernel (OpenBLAS picks one per CPU at run time under DYNAMIC_ARCH)
 numpy would have used, and exact V = 1 data are not clamped by a rounding
-error one ulp above 1.
+error one ulp above 1. fit_fringe imports fractions, and with it decimal,
+itself: importing this module, as every command does, loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import atan2, cos, fsum, hypot, inf, isfinite, isqrt, pi, sin
 
 
@@ -107,6 +107,8 @@ def fit_fringe(phases, counts) -> FringeFit:
     stay usable). Needs at least 4 samples spanning more than pi: with less
     coverage the three coefficients are degenerate or nearly so.
     """
+    from fractions import Fraction
+
     phi, y = _vectors("phases and counts", phases, counts)
     if len(phi) < 4:
         raise ValueError(f"need at least 4 phase samples, got {len(phi)}")

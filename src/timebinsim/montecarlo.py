@@ -123,12 +123,16 @@ class CoincidenceHistogram:
 
 @dataclass(frozen=True)
 class CarEstimate:
+    """A coincidence-to-accidental ratio and its Poisson standard error."""
+
     car: float
     stderr: float
 
 
 @dataclass(frozen=True)
 class CarCurveRow:
+    """car_curve at one channel mean: the exact ratio, and the sampled one with its error."""
+
     mu_total: float
     car_analytic: float
     car_simulated: float

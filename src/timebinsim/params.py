@@ -5,11 +5,8 @@ GHz, pulse width in ns, so the bandwidth-time product is dimensionless.
 Per-pulse photon numbers and per-slot probabilities are dimensionless.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import asdict, dataclass, is_dataclass
-from typing import get_type_hints
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 
 @dataclass(frozen=True)
@@ -97,17 +94,6 @@ def arm_detection(
         dark_per_slot(cfg.signal, rate),
         dark_per_slot(cfg.idler, rate),
     )
-
-
-def symmetrized_detection(cfg: ExperimentConfig) -> tuple[float, float]:
-    """(geometric-mean alpha, mean dark per slot) of the two arms.
-
-    The closed-form coincidence ratio takes a single detection arm; this is
-    how the signal and idler arms are folded into one. Interferometer
-    excess loss is not included.
-    """
-    alpha_s, alpha_i, dark_s, dark_i = arm_detection(cfg, include_interferometer=False)
-    return math.sqrt(alpha_s * alpha_i), 0.5 * (dark_s + dark_i)
 
 
 def default_config() -> ExperimentConfig:
@@ -254,7 +240,7 @@ def _build(cls: type, raw, where: str):
     """One config level from its JSON object, every declared field required."""
     if not isinstance(raw, dict):
         raise ValueError(f"{where or 'config'} must be a JSON object, got {type(raw).__name__}")
-    declared = get_type_hints(cls)
+    declared = {field.name: field.type for field in fields(cls)}
     unknown = set(raw) - set(declared)
     if unknown:
         raise ValueError(f"unknown keys in {where or 'config'}: {sorted(unknown)}")

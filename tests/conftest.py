@@ -78,6 +78,13 @@ def num_blocks(cfg: ExperimentConfig, phases: PhasePair | None = None) -> int:
     return -(-cfg.num_pulses // block_pulses(cfg, phases))
 
 
+def exact_car(cfg: ExperimentConfig) -> float:
+    """The ratio a histogram run of cfg samples: expected_histogram's P(0)
+    over the mean of its six accidental bins, as car_curve takes it."""
+    p = expected_histogram(cfg)
+    return p[0] / ((sum(p.values()) - p[0]) / 6)
+
+
 def saturation_gap(source: SourceParams, mu_total: float, alpha: float, dark: float) -> tuple:
     """car_closed_form CAR over expected_histogram's ratio, less 1, on two
     arms of detection probability alpha and dark probability dark per slot;

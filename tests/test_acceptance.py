@@ -9,7 +9,8 @@ its channel transmissions near 6e-3, at 1e10 pulses: ten seconds of the
 1 GHz train. Criterion 11 runs the same config through the command line at
 1e12 pulses, a 1 GHz acquisition of about 17 minutes, in a child process
 whose wall time and peak memory it bounds. The analytic legs use the
-baseline config as is.
+baseline config as is. Criteria 3, 10 and 11 hold a sampled ratio to the
+exact ratio of expected_histogram at the sampled config.
 """
 
 import json
@@ -23,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import lossless_config, pairs_only_config, saturation_gap
+from conftest import exact_car, lossless_config, pairs_only_config, saturation_gap
 from timebinsim import (
     PairStatistics,
     PhasePair,
@@ -34,15 +35,15 @@ from timebinsim import (
     expected_histogram,
     fit_fringe,
     fit_scaling,
-    ideal_visibility,
     predicted_visibility,
     pump_power_for_mu,
     sector_probabilities,
     simulate_car_run,
     simulate_fringe_run,
 )
+from timebinsim.analytic import sweep_config
 from timebinsim.cli import main
-from timebinsim.params import SourceParams, arm_detection, symmetrized_detection
+from timebinsim.params import SourceParams, arm_detection
 
 PHASES_16 = 2 * math.pi * np.arange(16) / 16
 
@@ -80,12 +81,12 @@ def test_criterion_2_ratio_cross_check_lossy_detection():
 def test_criterion_3_peak_ratio_analytic_and_sampled():
     start = time.perf_counter()
     cfg = default_config()
-    analytic_default = car_closed_form(1e-3, cfg.source, *symmetrized_detection(cfg))
+    analytic_default = exact_car(sweep_config(cfg, "mu", 1e-3)[0])
     in_band = 7.7 <= analytic_default <= 9.7
 
     mc_cfg = lossless_config(1e-3, 10_000_000, seed=80_003)
     est = estimate_car(simulate_car_run(mc_cfg))
-    analytic_variant = car_closed_form(1e-3, mc_cfg.source, *symmetrized_detection(mc_cfg))
+    analytic_variant = exact_car(mc_cfg)
     within = abs(est.car - analytic_variant) <= 3 * est.stderr
     elapsed = time.perf_counter() - start
     fast = elapsed < 120.0
@@ -94,7 +95,7 @@ def test_criterion_3_peak_ratio_analytic_and_sampled():
     verdict(
         3,
         ok,
-        f"analytic ratio {analytic_default:.3f} in [7.7, 9.7]; sampled "
+        f"exact ratio {analytic_default:.3f} in [7.7, 9.7]; sampled "
         f"{est.car:.2f} +/- {est.stderr:.2f} vs {analytic_variant:.3f} "
         f"(lossless-channel variant) within 3 stderr; {elapsed:.1f} s < 120 s",
     )
@@ -138,13 +139,14 @@ def test_criterion_5_slot_count_law_of_the_exact_engine():
         probabilities = [sector_probabilities(n, PhasePair(float(p), 0.0))[0] for p in PHASES_16]
         fit = fit_fringe(PHASES_16, probabilities)
         worst = max(worst, abs(fit.visibility - (n - 1) / n))
-    exact_half = ideal_visibility(2) == 0.5
+    top, bottom = (sector_probabilities(2, PhasePair(p, 0.0))[0] for p in (0.0, math.pi))
+    exact_half = (top - bottom) / (top + bottom) == 0.5
     ok = worst <= 1e-9 and exact_half
     verdict(
         5,
         ok,
         f"fitted engine visibility matches (n-1)/n, worst |error| {worst:.2e} "
-        f"<= 1e-9 over n in {{2,3,5,10,64}}; n=2 closed form is exactly 0.5",
+        f"<= 1e-9 over n in {{2,3,5,10,64}}; n=2 sector fringe is exactly 0.5",
     )
     assert ok
 
@@ -270,8 +272,7 @@ def test_criterion_10_paper_operating_point():
     acc_z = (hist.accidental_total - expected_acc) / math.sqrt(expected_acc)
 
     est = estimate_car(hist)
-    mu = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_total
-    analytic = car_closed_form(mu, cfg.source, *symmetrized_detection(cfg))
+    analytic = exact_car(cfg)
     within = abs(est.car - analytic) <= 4 * est.stderr
     elapsed = time.perf_counter() - start
     fast = elapsed < 120.0
@@ -283,7 +284,7 @@ def test_criterion_10_paper_operating_point():
         f"baseline config, 1e10 pulses: delay-0 {hist.counts[0]} vs "
         f"{expected_zero:.1f} (z {zero_z:+.2f}), accidentals "
         f"{hist.accidental_total} vs {expected_acc:.1f} (z {acc_z:+.2f}); "
-        f"sampled ratio {est.car:.2f} +/- {est.stderr:.2f} vs closed form "
+        f"sampled ratio {est.car:.2f} +/- {est.stderr:.2f} vs exact ratio "
         f"{analytic:.3f} within 4 stderr; {elapsed:.1f} s < 120 s",
     )
     assert ok
@@ -328,8 +329,7 @@ def test_criterion_11_paper_scale_command(tmp_path):
     expected_acc = sum((pulses - abs(d)) * p[d] for d in (-3, -2, -1, 1, 2, 3))
     zero_z = (result["delay_zero_counts"] - expected_zero) / math.sqrt(expected_zero)
     acc_z = (result["accidental_total"] - expected_acc) / math.sqrt(expected_acc)
-    mu = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source).mu_total
-    analytic = car_closed_form(mu, cfg.source, *symmetrized_detection(cfg))
+    analytic = exact_car(cfg)
     within = abs(result["car"] - analytic) <= 4 * result["stderr"]
 
     ok = abs(zero_z) <= 4 and abs(acc_z) <= 4 and within and elapsed < 60.0 and peak_mib < 150.0
@@ -339,7 +339,7 @@ def test_criterion_11_paper_scale_command(tmp_path):
         f"baseline config, mc-car --pulses 1e12: delay-0 {result['delay_zero_counts']} vs "
         f"{expected_zero:.1f} (z {zero_z:+.2f}), accidentals {result['accidental_total']} vs "
         f"{expected_acc:.1f} (z {acc_z:+.2f}); ratio {result['car']:.2f} +/- "
-        f"{result['stderr']:.2f} vs closed form {analytic:.3f} within 4 stderr; "
+        f"{result['stderr']:.2f} vs exact ratio {analytic:.3f} within 4 stderr; "
         f"{elapsed:.1f} s < 60 s, peak RSS {peak_mib:.0f} MiB < 150 MiB",
     )
     assert ok

@@ -87,6 +87,17 @@ class TestAnalytic:
         assert err[0].startswith("error: ")
         assert out.read_text() == "kept\n"
 
+    def test_empty_out_dir_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "analytic", "--out-dir", "",
+            "--sweep", "mu", "--start", "1e-3", "--stop", "1e-3", "--steps", "1",
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_dfdt_sweep_holds_operating_mu(self, tmp_path):
         out = tmp_path / "out"
         assert main([
@@ -646,7 +657,7 @@ if block:
     sys.modules["numpy"] = None
 import timebinsim.cli
 modules = ("analytic", "fitting", "montecarlo", "params")
-names = ["numpy", *(f"timebinsim.{m}" for m in modules)]
+names = ["fractions", "numpy", *(f"timebinsim.{m}" for m in modules)]
 loaded = {name: sys.modules.get(name) is not None for name in names}
 from dataclasses import replace
 from timebinsim import PhasePair, default_config, expected_histogram
@@ -659,11 +670,13 @@ codes = [timebinsim.cli.main(argv) for argv in runs]
 print(json.dumps({"codes": codes, "loaded": loaded, "histograms": histograms}))
 """
 
-# `import timebinsim.cli` loads every submodule and no numpy. The tracer,
-# perfbench/traced.py, wraps only the modules that import loads, and its
-# --workers probe reads sys.modules["timebinsim.montecarlo"]: a submodule
-# imported lazily would run untraced.
+# `import timebinsim.cli` loads every submodule, no numpy and no fractions
+# (fit_fringe imports it). The tracer, perfbench/traced.py, wraps only the
+# modules that import loads, and its --workers probe reads
+# sys.modules["timebinsim.montecarlo"]: a submodule imported lazily would
+# run untraced.
 CLI_IMPORT_LOADS = {
+    "fractions": False,
     "numpy": False,
     "timebinsim.analytic": True,
     "timebinsim.fitting": True,
@@ -684,6 +697,25 @@ def run_fresh(block_numpy: bool, runs: list[list[str]]) -> dict:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+# Standard-library modules no command needs at start-up. Without site
+# (python -S), which may load some of them from a .pth file, importing the
+# CLI loads none of them.
+START_UP_UNUSED = ("decimal", "fractions", "pathlib", "typing")
+
+
+def test_site_free_cli_import_loads_only_what_commands_run():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = "import sys, timebinsim.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *START_UP_UNUSED],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestWithoutNumpy:

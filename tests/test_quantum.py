@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from timebinsim import PhasePair, ideal_visibility, sector_probabilities
+from timebinsim import PhasePair, sector_probabilities
 
 
 def brute_force_sectors(
@@ -189,22 +189,31 @@ class TestFringe:
                 assert bottom - 1e-14 <= mid <= top + 1e-14
 
 
+def fringe_visibility(n: int) -> float:
+    """Visibility of the lossless, noise-free n-slot fringe: the matched
+    sector at phase sum 0 against phase sum pi."""
+    top = sector_probabilities(n, PhasePair(0.0, 0.0))[0]
+    bottom = sector_probabilities(n, PhasePair(math.pi, 0.0))[0]
+    return (top - bottom) / (top + bottom)
+
+
 class TestIdealVisibility:
+    """The two edge slots of the coherence window are each fed by a single
+    path and never interfere, which caps the visibility at (n-1)/n."""
+
     @pytest.mark.parametrize("n, expected", [(2, 0.5), (3, 2 / 3), (10, 0.9), (64, 63 / 64)])
     def test_edge_slot_cap(self, n, expected):
-        assert ideal_visibility(n) == pytest.approx(expected, rel=1e-15)
+        assert fringe_visibility(n) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("n", [2, 5, 17, 64])
     def test_consistent_with_fringe_extremes(self, n):
-        top = sector_probabilities(n, PhasePair(0.0, 0.0))[0]
-        bottom = sector_probabilities(n, PhasePair(math.pi, 0.0))[0]
-        assert (top - bottom) / (top + bottom) == pytest.approx(
-            ideal_visibility(n), abs=1e-12
-        )
+        top = brute_force_sectors(n, 0.0, 0.0)[0]
+        bottom = brute_force_sectors(n, math.pi, 0.0)[0]
+        assert (top - bottom) / (top + bottom) == pytest.approx(fringe_visibility(n), abs=1e-12)
 
     def test_too_few_slots_rejected(self):
-        with pytest.raises(ValueError):
-            ideal_visibility(1)
+        with pytest.raises(ValueError, match=">= 2"):
+            fringe_visibility(1)
 
 
 class TestPhasePair:
