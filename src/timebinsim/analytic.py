@@ -14,8 +14,6 @@ is the channel model, the five per-slot Poisson means that montecarlo draws
 and expected_histogram evaluates in closed form.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, replace
 

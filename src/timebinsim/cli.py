@@ -19,8 +19,6 @@ interpreter teardown once `main` has closed every output; `main(argv)` is
 the in-process entry.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import hashlib

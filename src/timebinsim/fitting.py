@@ -17,8 +17,6 @@ error one ulp above 1. fit_fringe imports fractions, and with it decimal,
 itself: importing this module, as every command does, loads neither.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from math import atan2, cos, fsum, hypot, inf, isfinite, isqrt, pi, sin
 
@@ -69,8 +67,8 @@ def _vectors(names: str, *columns) -> list[list[float]]:
     return lists
 
 
-def _sqrt(x: Fraction) -> float:
-    """Correctly rounded square root of a non-negative rational.
+def _sqrt(x) -> float:
+    """Correctly rounded square root of a non-negative Fraction.
 
     The integer root carries at least 59 bits, and an inexact one is made
     odd, so rounding it to a float once rounds the true root correctly.

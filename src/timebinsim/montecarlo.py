@@ -68,8 +68,6 @@ detection pair instead, for diagnostics, since comparing the two bounds the
 multi-photon contribution.
 """
 
-from __future__ import annotations
-
 import os
 from dataclasses import dataclass, replace
 from math import sqrt
@@ -149,14 +147,8 @@ def block_pulses(cfg: ExperimentConfig, phases: PhasePair | None = None) -> int:
     return max(1, int(EVENTS_PER_BLOCK / rate))
 
 
-def _processes(workers: int) -> int:
-    """Processes a command may use: workers, capped by the usable cores."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(workers, cores or 1))
-
-
 def _chunks(
-    cfg: ExperimentConfig, point: int, workers: int, phases: PhasePair | None = None
+    cfg: ExperimentConfig, point: int, most: int, phases: PhasePair | None = None
 ) -> list[tuple]:
     """A run cut into contiguous chunks of its blocks: a histogram run
     without phases, a fringe point at phases with them.
@@ -165,7 +157,7 @@ def _chunks(
     the run is (seed, point, block length, pulses, stream means), whose
     block b _block draws from the key (cfg.seed, b, point). A chunk
     (run, first, stop) names the blocks first..stop - 1 it counts. There
-    are at most _processes(workers) chunks, and at least one; each holds at
+    are 1 to most chunks, a function of the inputs alone; each holds at
     least two blocks and expects at least EVENTS_PER_BLOCK draws.
     """
     require_valid(cfg)
@@ -178,21 +170,23 @@ def _chunks(
         )
     blocks = -(-cfg.num_pulses // size)
     draws = int(sum(means) * cfg.num_pulses // EVENTS_PER_BLOCK)
-    count = max(1, min(_processes(workers), blocks // 2, draws))
+    count = max(1, min(most, blocks // 2, draws))
     edges = [blocks * k // count for k in range(count + 1)]
     run = (cfg.seed, point, size, cfg.num_pulses, means)
     return [(run, first, stop) for first, stop in zip(edges, edges[1:])]
 
 
-def _events(rng: np.random.Generator, n: int, mean: float) -> np.ndarray:
-    """Unsorted int32 slots of Poisson(mean) events in each of n slots."""
+def _events(rng, n: int, mean: float):
+    """Unsorted int32 slots of Poisson(mean) events in each of n slots: an
+    ndarray drawn from rng, a numpy Generator."""
     return rng.integers(0, n, rng.poisson(mean * n), dtype="int32")
 
 
-def _distinct(slots: np.ndarray) -> np.ndarray:
-    """Distinct entries of ascending slots: each entry that differs from the
-    one before it. np.unique would sort again, and without return_counts
-    numpy 2.3+ takes a hash path that is ~50x slower on a million slots."""
+def _distinct(slots):
+    """Distinct entries of the ascending ndarray slots: each entry that
+    differs from the one before it. np.unique would sort again, and without
+    return_counts numpy 2.3+ takes a hash path that is ~50x slower on a
+    million slots."""
     import numpy as np
 
     keep = np.ones(len(slots), dtype=bool)
@@ -312,13 +306,14 @@ def _sweep_counts(points: list[tuple], workers: int) -> list[dict[int, int]]:
     """Delay counts of each (cfg, point, phases) run of one command, all
     folded on one pool.
 
-    With P = _processes(workers), a point is cut into at most
-    ceil(P / len(points)) chunks, so it is cut at all only when there are
-    fewer points than processes. Every chunk of every point goes to one
-    pool of min(P, chunks) processes, or runs in this process when that is
-    one.
+    With P processes, workers capped by the usable cores, a point is cut
+    into at most ceil(P / len(points)) chunks, so it is cut at all only when
+    there are fewer points than processes. Every chunk of every point goes
+    to one pool of min(P, chunks) processes, or runs in this process when
+    that is one.
     """
-    processes = _processes(workers)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = max(1, min(workers, cores or 1))
     share = -(-processes // max(1, len(points)))
     plans = [_chunks(cfg, point, share, phases) for cfg, point, phases in points]
     chunks = [chunk for plan in plans for chunk in plan]

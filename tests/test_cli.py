@@ -1,12 +1,15 @@
 """Command-line flows: files written, exit codes, byte-level reproducibility."""
 
 import csv
+import importlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -702,7 +705,7 @@ def run_fresh(block_numpy: bool, runs: list[list[str]]) -> dict:
 # Standard-library modules no command needs at start-up. Without site
 # (python -S), which may load some of them from a .pth file, importing the
 # CLI loads none of them.
-START_UP_UNUSED = ("decimal", "fractions", "pathlib", "typing")
+START_UP_UNUSED = ("__future__", "decimal", "fractions", "pathlib", "typing")
 
 
 def test_site_free_cli_import_loads_only_what_commands_run():
@@ -716,6 +719,31 @@ def test_site_free_cli_import_loads_only_what_commands_run():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_annotation_resolves():
+    # Each function, method and class the package's modules define has
+    # annotations that name objects its module binds at import, so
+    # get_type_hints resolves them.
+    targets = []
+    for name in ("analytic", "cli", "fitting", "montecarlo", "params"):
+        module = importlib.import_module(f"timebinsim.{name}")
+        for value in vars(module).values():
+            if not (inspect.isfunction(value) or inspect.isclass(value)):
+                continue
+            if value.__module__ == module.__name__:
+                targets.append(value)
+                if inspect.isclass(value):
+                    members = (getattr(m, "fget", getattr(m, "__func__", m)) for m in vars(value).values())
+                    targets += [m for m in members if inspect.isfunction(m)]
+    unresolved = []
+    for target in targets:
+        try:
+            typing.get_type_hints(target)
+        except NameError as exc:
+            unresolved.append(f"{target.__module__}.{target.__qualname__}: {exc}")
+    assert len(targets) > 100
+    assert unresolved == []
 
 
 class TestWithoutNumpy:

@@ -219,7 +219,7 @@ class TestDispatch:
         monkeypatch.setattr(
             montecarlo, "_block", lambda run, b, tail: drawn.append(b) or block(run, b, tail)
         )
-        chunks = montecarlo._chunks(cfg, 0, workers)
+        chunks = montecarlo._chunks(cfg, 0, min(workers, cores or 1))
         # Contiguous chunks cover every block once.
         assert [first for _, first, _ in chunks] == [0] + [stop for *_, stop in chunks[:-1]]
         assert chunks[-1][2] == blocks
@@ -317,6 +317,16 @@ class TestDispatch:
         args = ["mc-fringe", "--config", str(config), "--out-dir", str(tmp_path / "out")]
         assert main([*args, "--steps", "16", "--workers", "1"]) in (0, 1)
         assert fake_pool == []
+
+    def test_plan_reads_only_its_inputs(self, monkeypatch):
+        # A run's chunks depend on its config and the budget passed in, not
+        # on the cores the process may run on.
+        cfg = lossless_config(1.0, 3_000_000)
+        for cores in (1, 4):
+            affinity = lambda pid: set(range(cores))
+            monkeypatch.setattr(montecarlo.os, "sched_getaffinity", affinity, raising=False)
+            chunks = montecarlo._chunks(cfg, 0, 2)
+            assert [(first, stop) for _, first, stop in chunks] == [(0, 2), (2, 4)]
 
     def test_detections_open_no_pool(self, monkeypatch, fake_pool):
         # The 4-block mean-1 run is two chunks at two workers, but its
