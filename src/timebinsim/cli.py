@@ -165,8 +165,6 @@ def _prepare(ns) -> ExperimentConfig:
     if getattr(ns, "pulses", None) is not None:
         cfg = replace(cfg, num_pulses=ns.pulses)
     require_valid(cfg)
-    if getattr(ns, "workers", 1) < 1:
-        raise ValueError("--workers must be >= 1")
     return cfg
 
 

@@ -304,7 +304,7 @@ def _fold(chunk) -> dict[int, int]:
 
 def _sweep_counts(points: list[tuple], workers: int) -> list[dict[int, int]]:
     """Delay counts of each (cfg, point, phases) run of one command, all
-    folded on one pool.
+    folded on one pool. workers below 1 is refused before any plan or draw.
 
     With P processes, workers capped by the usable cores, a point is cut
     into at most ceil(P / len(points)) chunks, so it is cut at all only when
@@ -312,8 +312,10 @@ def _sweep_counts(points: list[tuple], workers: int) -> list[dict[int, int]]:
     to one pool of min(P, chunks) processes, or runs in this process when
     that is one.
     """
+    if workers < 1:
+        raise ValueError("--workers must be >= 1")
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = max(1, min(workers, cores or 1))
+    processes = min(workers, cores or 1)
     share = -(-processes // max(1, len(points)))
     plans = [_chunks(cfg, point, share, phases) for cfg, point, phases in points]
     chunks = [chunk for plan in plans for chunk in plan]
@@ -346,13 +348,9 @@ def estimate_car(hist: CoincidenceHistogram) -> CarEstimate:
     """Coincidence-to-accidental ratio from a delay histogram.
 
     Delay-0 counts over the mean of the accidental bins, with Poisson error
-    propagation on both. Empty bins cannot support an estimate.
+    propagation on both. Empty or missing bins cannot support an estimate.
     """
-    if 0 not in hist.counts or not hist.window_delays:
-        raise InsufficientStatisticsError(
-            "insufficient statistics: histogram lacks delay-0 or accidental bins"
-        )
-    zero = hist.counts[0]
+    zero = hist.counts.get(0, 0)
     acc_total = hist.accidental_total
     if zero == 0 or acc_total == 0:
         raise InsufficientStatisticsError(

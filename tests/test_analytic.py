@@ -109,6 +109,11 @@ class TestPumpInversion:
         with pytest.raises(ValueError, match="mu_total"):
             pump_power_for_mu(-1e-4, source_with_f(0.75))
 
+    def test_no_pair_yield_rejected(self):
+        src = replace(default_config().source, pair_coeff=0.0)
+        with pytest.raises(ValueError, match="pair_coeff and bandwidth-time product"):
+            pump_power_for_mu(1e-3, src)
+
 
 class TestSweepConfig:
     """The one rule for a sweep point, read by the analytic command and car_curve."""

@@ -544,6 +544,14 @@ class TestFit:
         assert err[0].startswith(f"error: {data}: 'utf-8' codec can't decode byte 0xff")
         assert not out.exists()
 
+    def test_header_only_csv_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("phi_s,coincidences\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--model", "fringe", "--data", str(data), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {data}: no data rows"]
+        assert not out.exists()
+
     def test_scaling_round_trip(self, tmp_path):
         powers = np.linspace(0.05, 0.2, 16)
         data = tmp_path / "scaling.csv"

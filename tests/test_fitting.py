@@ -167,6 +167,9 @@ class TestProportionalFit:
             proportional_fit(np.zeros(4), np.ones(4))
         with pytest.raises(ValueError, match="finite"):
             proportional_fit([1.0, 2.0, math.inf], [1.0, 2.0, 3.0])
+        # Each square is finite, but fsum's partial sums leave the float range.
+        with pytest.raises(ValueError, match="^x and y overflow the sums of the least-squares fit$"):
+            proportional_fit([1.3e154] * 3, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize(
         "x, y",

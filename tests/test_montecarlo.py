@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import lossless_config, num_blocks, pairs_only_config
+from test_quantum import brute_force_sectors
 import timebinsim
 from timebinsim import montecarlo
 from timebinsim import (
@@ -317,6 +318,30 @@ class TestDispatch:
         args = ["mc-fringe", "--config", str(config), "--out-dir", str(tmp_path / "out")]
         assert main([*args, "--steps", "16", "--workers", "1"]) in (0, 1)
         assert fake_pool == []
+
+    def test_workers_below_one_refused_before_any_draw(self, monkeypatch, fake_pool):
+        # Every entry that takes workers refuses a count below 1 in the
+        # CLI's words, before it plans a chunk, draws a block or opens a pool.
+        planned, drawn = [], []
+        chunks, block = montecarlo._chunks, montecarlo._block
+        monkeypatch.setattr(
+            montecarlo, "_chunks", lambda *args: planned.append(args) or chunks(*args)
+        )
+        monkeypatch.setattr(
+            montecarlo, "_block", lambda run, b, tail=None: drawn.append(b) or block(run, b, tail)
+        )
+        cfg = lossless_config(1.0, 3_000_000)
+        fringe = replace(cfg, interferometers_present=True)
+        calls = [
+            lambda: simulate_car_run(cfg, workers=0),
+            lambda: montecarlo.simulate_fringe_sweep(fringe, [PhasePair(0.0, 0.0)], workers=-3),
+            lambda: montecarlo.car_curve(cfg, [1e-2], workers=0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "--workers must be >= 1"
+        assert planned == drawn == fake_pool == []
 
     def test_plan_reads_only_its_inputs(self, monkeypatch):
         # A run's chunks depend on its config and the budget passed in, not
@@ -926,6 +951,97 @@ class TestFringeAgainstClosedForm:
         n = cfg.num_pulses
         expected = [(n - abs(d)) * (lam_s * lam_i + m.get(d, 0.0)) for d in range(-3, 4)]
         assert hotelling_t2(raw, expected) < T2_BOUND, np.sum(raw, axis=0)
+
+
+# A pair's photon slots (signal, idler) after its pulse's slot, for each
+# outcome of brute_force_sectors and then the neither-kept remainder. A
+# discarded photon has no slot, and a lone kept photon takes the short or the
+# long path of its interferometer with equal chance.
+LONE = "lone"
+PAIR_OUTCOMES = ((0, 0), (0, 1), (1, 0), (LONE, None), (None, LONE), (None, None))
+
+
+def reference_run(cfg, phases, rng) -> list[int]:
+    """Click pairs by delay -3..3 of one run of cfg, drawn photon by photon
+    with none of the sampler's thinning algebra: a fringe point at phases,
+    or a histogram run without them.
+
+    Each pulse emits a Poisson number of pairs, and of noise photons in each
+    arm. Behind the interferometers each pair takes its joint outcome from
+    the ket oracle brute_force_sectors, and each noise photon takes either
+    port and either path with equal chance. Every photon then survives its
+    own arm's alpha, every pulse slot holds a dark with probability d, and a
+    slot with any of them is one click of a threshold detector. The
+    histogram is counted from the two click arrays slot by slot; the slot
+    after the last pulse holds the photons that took a long path there.
+    """
+    n = cfg.num_pulses
+    stats = PairStatistics.from_power(cfg.source.peak_power_w, cfg.source)
+    inside = phases is not None
+    detection = arm_detection(cfg, include_interferometer=inside)
+    outcomes, weights = PAIR_OUTCOMES[:1], [1.0]
+    if inside:
+        sectors = brute_force_sectors(cfg.coherence_slots, phases.signal, phases.idler)
+        outcomes, weights = PAIR_OUTCOMES, [*sectors, 1.0 - sum(sectors)]
+    pulses = np.repeat(np.arange(n), rng.poisson(stats.mu_pairs, n))
+    outcome = rng.choice(len(outcomes), size=len(pulses), p=weights)
+    clicks = []
+    for arm, noise_mean in enumerate((stats.mu_noise_signal, stats.mu_noise_idler)):
+        photons = []
+        for k, slots in enumerate(outcomes):
+            if slots[arm] is not None:
+                at = pulses[outcome == k]
+                shift = rng.integers(0, 2, len(at)) if slots[arm] == LONE else slots[arm]
+                photons.append(at + shift)
+        noise = np.repeat(np.arange(n), rng.poisson(noise_mean, n))
+        if inside:
+            noise = noise[rng.random(len(noise)) < 0.5]
+            noise = noise + rng.integers(0, 2, len(noise))
+        photons = np.concatenate([*photons, noise])
+        click = np.zeros(n + 1, dtype=bool)
+        click[photons[rng.random(len(photons)) < detection[arm]]] = True
+        click[:n] |= rng.random(n) < detection[arm + 2]
+        clicks.append(click)
+    signal, idler = clicks
+    counts = []
+    for d in range(-COINCIDENCE_WINDOW, COINCIDENCE_WINDOW + 1):
+        lo, hi = max(0, -d), n + 1 - max(0, d)
+        counts.append(int(np.count_nonzero(signal[lo:hi] & idler[lo + d : hi + d])))
+    return counts
+
+
+class TestModelAgainstReference:
+    # The channel model, analytic.stream_means as expected_histogram reads
+    # it, against reference_run, which shares none of its algebra: T2_RUNS
+    # runs of REFERENCE_PULSES pulses, run k drawn from
+    # default_rng((cfg.seed, k)), and Hotelling's T^2 at T2_BOUND. The fringe
+    # point has five coherence slots, noise at ~0.3 photons a pulse beside
+    # ~0.7 pairs, and arms that detect half their photons, so each arm sees
+    # pairs whose partner the other arm lost. The histogram run has darks at
+    # 0.3 per slot. Seeded into stream_means, noise at factor 1 inside the
+    # interferometers reads T^2 ~2e4 on the fringe gate and `kept` without
+    # the idler-first sector ~350; darks at mean d read ~940 on the
+    # histogram gate.
+    REFERENCE_PULSES = 10_000
+
+    def assert_matches_reference(self, cfg, phases=None):
+        rngs = (np.random.default_rng((cfg.seed, k)) for k in range(T2_RUNS))
+        runs = [reference_run(cfg, phases, rng) for rng in rngs]
+        p, n = expected_histogram(cfg, phases), cfg.num_pulses
+        t2 = hotelling_t2(runs, [(n - abs(d)) * p[d] for d in p])
+        assert t2 < T2_BOUND, np.sum(runs, axis=0)
+
+    def test_fringe_point_matches_reference(self):
+        cfg = lossless_config(1.0, self.REFERENCE_PULSES, seed=90_031, interferometers=True)
+        half = {"detector_efficiency": 0.5}
+        signal, idler = replace(cfg.signal, **half), replace(cfg.idler, **half)
+        cfg = replace(cfg, coherence_slots=5, signal=signal, idler=idler)
+        self.assert_matches_reference(cfg, PhasePair(1.0, 0.3))
+
+    def test_dark_heavy_histogram_matches_reference(self):
+        self.assert_matches_reference(
+            lossless_config(1.0, self.REFERENCE_PULSES, seed=90_037, dark_rate_hz=3e8)
+        )
 
 
 class TestFringeRun:

@@ -117,6 +117,16 @@ class TestValidation:
             (lambda c: replace(c, coherence_slots=1), "coherence_slots"),
             (lambda c: replace(c, num_pulses=0), "num_pulses"),
             (lambda c: replace(c, seed=-1), "seed"),
+            (lambda c: replace(c, source=replace(c.source, pulse_width_ns=0.0)), "pulse_width_ns"),
+            (lambda c: replace(c, source=replace(c.source, rep_rate_ghz=0.0)), "rep_rate_ghz"),
+            (
+                lambda c: replace(c, signal=replace(c.signal, out_coupling_db=-1.0)),
+                "signal.out_coupling_db",
+            ),
+            (
+                lambda c: replace(c, idler=replace(c.idler, interferometer_loss_db=-1.0)),
+                "idler.interferometer_loss_db",
+            ),
         ],
     )
     def test_violations_name_the_field(self, baseline, mutate, needle):
